@@ -16,12 +16,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
-from .errors import ParseError, WilsonError
+from .errors import InvariantViolation, ParseError, WilsonError
 from .order import NumberFieldOrder, make_order, parse_poly, poly_str
 from .primes import FactoredIdeal, factor_element, factor_prime, parse_ideal
-from .residue import DEFAULT_CAP, build_residue_ring
+from .residue import DEFAULT_CAP
 from .wilson import (
     ProductClass,
     classify_gauss,
@@ -33,44 +32,19 @@ from .wilson import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Validated bundle of common command inputs."""
-
-    command: str
-    poly: str | None = None
-    prime: int = 0
-    ideal: str | None = None
-    gen: str | None = None
-    max_norm: int = 0
-    max_a: int = 0
-    cap: int = DEFAULT_CAP
-    output: str = "text"
-    t: int = 2
-    n_max: int = 6
-    dump: bool = False
-
-    def __post_init__(self):
-        if self.cap < 2:
-            raise ParseError(f"cap must be at least 2, got {self.cap}")
-        for name in ("max_norm", "max_a", "n_max"):
-            if getattr(self, name) < 0:
-                raise ParseError(f"{name.replace('_', '-')} must be positive")
-
-
-def _emit(cfg: RunConfig, doc: dict, lines: list) -> None:
-    if cfg.output == "json":
+def _emit(args: argparse.Namespace, doc: dict, lines: list) -> None:
+    if args.output == "json":
         print(json.dumps(doc, indent=2))
     else:
         for line in lines:
             print(line)
 
 
-def _load_ideal(o: NumberFieldOrder, cfg: RunConfig) -> FactoredIdeal:
-    if cfg.ideal is not None:
-        return parse_ideal(o, cfg.ideal)
-    if cfg.gen is not None:
-        gen = o.element_from_poly(parse_poly(cfg.gen))
+def _load_ideal(o: NumberFieldOrder, args: argparse.Namespace) -> FactoredIdeal:
+    if args.ideal is not None:
+        return parse_ideal(o, args.ideal)
+    if args.gen is not None:
+        gen = o.element_from_poly(parse_poly(args.gen))
         return factor_element(o, gen)
     raise ParseError("provide an ideal with --ideal or --gen")
 
@@ -81,28 +55,28 @@ def _witness_text(coeffs) -> str:
     return poly_str(coeffs)
 
 
-def cmd_factor(cfg: RunConfig) -> int:
-    o = make_order(cfg.poly)
-    factors = factor_prime(o, cfg.prime)
+def cmd_factor(args: argparse.Namespace) -> int:
+    o = make_order(args.poly)
+    factors = factor_prime(o, args.prime)
     doc = {
         "poly": poly_str(o.poly),
-        "prime": cfg.prime,
+        "prime": args.prime,
         "maximal": True,
         "factors": [dict(pd.to_json(), label=pd.label()) for pd in factors],
     }
-    lines = [f"o = {o}, p = {cfg.prime} (maximal at {cfg.prime}: yes)"]
+    lines = [f"o = {o}, p = {args.prime} (maximal at {args.prime}: yes)"]
     for pd in factors:
         lines.append(f"  {pd.label()}: P = {pd}, e = {pd.e}, f = {pd.f}")
     lines.append(f"sum of e*f = {sum(pd.e * pd.f for pd in factors)}"
                  f" = degree {o.degree}")
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return 0
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    o = make_order(cfg.poly)
-    a = _load_ideal(o, cfg)
-    res = classify_global(o, a, cap=cfg.cap)
+def cmd_classify(args: argparse.Namespace) -> int:
+    o = make_order(args.poly)
+    a = _load_ideal(o, args)
+    res = classify_global(o, a, cap=args.cap)
     doc = dict(res.to_json(), ideal=a.label(), poly=poly_str(o.poly),
                d2=str(d2_of_ideal(a)))
     lines = [
@@ -113,17 +87,17 @@ def cmd_classify(cfg: RunConfig) -> int:
     ]
     if res.prime is not None:
         lines.insert(2, f"at the even prime P = {res.prime}")
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    o = make_order(cfg.poly)
-    a = _load_ideal(o, cfg)
-    res = verify_ideal(o, a, cap=cfg.cap)
+def cmd_verify(args: argparse.Namespace) -> int:
+    o = make_order(args.poly)
+    a = _load_ideal(o, args)
+    res = verify_ideal(o, a, cap=args.cap)
     verdict = "MATCH" if res.match else "MISMATCH"
     doc = dict(res.to_json(), poly=poly_str(o.poly), verdict=verdict)
-    if cfg.dump:
+    if args.dump:
         doc["ring"] = res.ring.to_dump_json()
     lines = [
         f"o = {o}, a = {a.label()}, |o/a| = {res.ring.size},"
@@ -136,19 +110,20 @@ def cmd_verify(cfg: RunConfig) -> int:
         f" order-2 elements {res.census.count}",
         verdict,
     ]
-    if cfg.dump:
+    if args.dump:
         lines.append(json.dumps(doc["ring"]))
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return 0 if res.match else 1
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    o = make_order(cfg.poly)
-    summary = sweep_field(o, cfg.max_norm, cap=cfg.cap)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    _check_nonnegative(args.max_norm, "max-norm")
+    o = make_order(args.poly)
+    summary = sweep_field(o, args.max_norm, cap=args.cap)
     doc = dict(summary.to_json(), poly=poly_str(o.poly),
-               max_norm=cfg.max_norm)
+               max_norm=args.max_norm)
     lines = [
-        f"o = {o}, ideals of norm <= {cfg.max_norm}"
+        f"o = {o}, ideals of norm <= {args.max_norm}"
         f" on primes above p <= 13, exponents <= 8",
         f"cases: {summary.cases}, matches: {summary.matches}",
         "classes: " + ", ".join(f"{k}: {v}" for k, v in
@@ -160,14 +135,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
                      f" product {mis['product']}, census {mis['census']}")
     lines.append("all verified" if summary.ok else
                  f"{summary.cases - summary.matches} mismatches")
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return 0 if summary.ok else 1
 
 
-def cmd_gauss(cfg: RunConfig) -> int:
+def cmd_gauss(args: argparse.Namespace) -> int:
+    _check_nonnegative(args.max_a, "max-a")
     minus = []
     disagreements = []
-    for a_mod in range(2, cfg.max_a + 1):
+    for a_mod in range(2, args.max_a + 1):
         prod = gauss_product(a_mod)
         sign = classify_gauss(a_mod)
         brute_minus = prod == a_mod - 1 and a_mod > 2
@@ -177,36 +153,42 @@ def cmd_gauss(cfg: RunConfig) -> int:
             disagreements.append(a_mod)
     ok = not disagreements
     doc = {
-        "max_A": cfg.max_a,
-        "cases": cfg.max_a - 1,
+        "max_A": args.max_a,
+        "cases": args.max_a - 1,
         "minus_one": minus,
         "disagreements": disagreements,
         "ok": ok,
     }
     lines = [
-        f"product over (Z/A)^x for 2 <= A <= {cfg.max_a}",
+        f"product over (Z/A)^x for 2 <= A <= {args.max_a}",
         f"-1 cases ({len(minus)}):"
         f" {', '.join(str(a) for a in minus)}",
         "closed form agrees with brute force" if ok else
         f"DISAGREEMENTS at {disagreements}",
     ]
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return 0 if ok else 1
 
 
-def cmd_cyclo_demo(cfg: RunConfig) -> int:
-    m = 1 << (cfg.t - 1)
-    o = make_order((1,) + (0,) * (m - 1) + (1,))  # x^(2^(t-1)) + 1
+def cmd_cyclo_demo(args: argparse.Namespace) -> int:
+    _check_nonnegative(args.n_max, "n-max")
+    if args.t < 2:
+        raise ParseError("--t must be at least 2")
+    m = 1 << (args.t - 1)
+    # x^(2^(t-1)) + 1 is Eisenstein at 2 after x -> x+1, hence irreducible;
+    # make_order's general irreducibility search would not finish at t >= 5
+    o = NumberFieldOrder((1,) + (0,) * (m - 1) + (1,))
     factors = factor_prime(o, 2)
-    assert len(factors) == 1, "2 must be totally ramified here"
+    if len(factors) != 1 or factors[0].e != m or factors[0].f != 1:
+        raise InvariantViolation(
+            f"2 is not totally ramified in {o}: {[str(pd) for pd in factors]}")
     pd = factors[0]
-    assert pd.e == m and pd.f == 1
     expected = {1: ProductClass.ONE, 2: ProductClass.ONE_PLUS_PI,
                 3: ProductClass.ONE_PLUS_PI_SQ}
     rows = []
     ok = True
-    for n in range(1, cfg.n_max + 1):
-        res = verify_ideal(o, FactoredIdeal(((pd, n),)), cap=cfg.cap,
+    for n in range(1, args.n_max + 1):
+        res = verify_ideal(o, FactoredIdeal(((pd, n),)), cap=args.cap,
                            with_census=False)
         want = expected.get(n, ProductClass.ONE)
         good = res.match and res.predicted.kind is want
@@ -219,9 +201,9 @@ def cmd_cyclo_demo(cfg: RunConfig) -> int:
             "product": list(res.actual.coeffs),
             "match": res.match,
         })
-    doc = {"t": cfg.t, "poly": poly_str(o.poly),
+    doc = {"t": args.t, "poly": poly_str(o.poly),
            "prime": pd.to_json(), "rows": rows, "ok": ok}
-    lines = [f"o = {o} (2-power cyclotomic, t = {cfg.t}),"
+    lines = [f"o = {o} (2-power cyclotomic, t = {args.t}),"
              f" (2) = P^{pd.e}, f = 1",
              "expected pattern: 1, 1+pi, 1+pi^2, then 1 forever"]
     for row in rows:
@@ -230,7 +212,7 @@ def cmd_cyclo_demo(cfg: RunConfig) -> int:
         lines.append(f"  n={row['n']}: class {row['class']},"
                      f" product {poly_str(row['product'])} [{verdict}]")
     lines.append("pattern verified" if ok else "pattern FAILED")
-    _emit(cfg, doc, lines)
+    _emit(args, doc, lines)
     return 0 if ok else 1
 
 
@@ -252,15 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
                             " (default 2^20; env WILSON_CAP)")
 
     p = sub.add_parser("factor", help="factor a rational prime in the order")
+    p.set_defaults(handler=cmd_factor)
     common(p)
     p.add_argument("--prime", type=int, required=True)
 
     p = sub.add_parser("classify", help="closed-form product class of o/a")
+    p.set_defaults(handler=cmd_classify)
     common(p)
     p.add_argument("--ideal", help="factored form, e.g. '2^3; 5^1@0'")
     p.add_argument("--gen", help="principal ideal generator, e.g. 'x+1'")
 
     p = sub.add_parser("verify", help="closed form vs. brute force for one a")
+    p.set_defaults(handler=cmd_verify)
     common(p)
     p.add_argument("--ideal")
     p.add_argument("--gen")
@@ -268,15 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the full ring dump (elements, units, census)")
 
     p = sub.add_parser("sweep", help="verify all small ideals of the order")
+    p.set_defaults(handler=cmd_sweep)
     common(p)
     p.add_argument("--max-norm", type=int, required=True)
 
     p = sub.add_parser("gauss", help="classical table over Z")
+    p.set_defaults(handler=cmd_gauss)
     common(p, poly=False)
     p.add_argument("--max-A", dest="max_a", type=int, required=True)
 
     p = sub.add_parser("cyclo-demo",
                        help="2-power cyclotomic pattern 1, 1+pi, 1+pi^2, 1...")
+    p.set_defaults(handler=cmd_cyclo_demo)
     common(p, poly=False)
     p.add_argument("--t", type=int, required=True,
                    help="conductor exponent (t >= 2; degree is 2^(t-1))")
@@ -285,46 +273,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_cap(flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("WILSON_CAP")
-    if env is not None:
+def _resolve_cap(cap: int | None) -> int:
+    if cap is None:
+        env = os.environ.get("WILSON_CAP")
         try:
-            return int(env)
+            cap = DEFAULT_CAP if env is None else int(env)
         except ValueError:
             raise ParseError(f"WILSON_CAP must be an integer, got {env!r}")
-    return DEFAULT_CAP
+    if cap < 2:
+        raise ParseError(f"cap must be at least 2, got {cap}")
+    return cap
+
+
+def _check_nonnegative(value: int, flag: str) -> None:
+    if value < 0:
+        raise ParseError(f"{flag} must be positive")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "factor": cmd_factor,
-        "classify": cmd_classify,
-        "verify": cmd_verify,
-        "sweep": cmd_sweep,
-        "gauss": cmd_gauss,
-        "cyclo-demo": cmd_cyclo_demo,
-    }
     try:
-        cfg = RunConfig(
-            command=args.command,
-            poly=getattr(args, "poly", None),
-            prime=getattr(args, "prime", 0),
-            ideal=getattr(args, "ideal", None),
-            gen=getattr(args, "gen", None),
-            max_norm=getattr(args, "max_norm", 0),
-            max_a=getattr(args, "max_a", 0),
-            cap=_resolve_cap(getattr(args, "cap", None)),
-            output=args.output,
-            t=getattr(args, "t", 2),
-            n_max=getattr(args, "n_max", 6),
-            dump=getattr(args, "dump", False),
-        )
-        if cfg.command == "cyclo-demo" and cfg.t < 2:
-            raise ParseError("--t must be at least 2")
-        return handlers[cfg.command](cfg)
+        args.cap = _resolve_cap(args.cap)
+        return args.handler(args)
     except WilsonError as exc:
         print(json.dumps({"error": {"type": exc.code, "message": str(exc)}}))
         return 2

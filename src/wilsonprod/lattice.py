@@ -12,7 +12,57 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .errors import InvariantViolation
 from .order import NumberFieldOrder, OrderElement
+
+
+def _hnf_pivot_rows(work: list[list[int]], d: int) -> list[list[int]]:
+    """Row-reduce ``work`` in place to Hermite normal form on its first d
+    columns and return the pivot rows, one per column that has a pivot.
+
+    Pivots are positive, and every entry above a pivot is reduced into
+    [0, pivot), in ascending pivot order, since reducing column i only
+    touches columns >= i of the rows above it.  The rows not returned end
+    up zero on the first d columns.  Row operations span the full row
+    width, so columns past d carry a transform along.  Rows that become
+    zero are dropped from the search (a row carrying a transform never is).
+    """
+    width = len(work[0]) if work else d
+    live = [r for r in work if any(r)]
+    out: list[list[int]] = []
+    cols: list[int] = []
+    for col in range(d):
+        while True:
+            nz = [r for r in live if r[col]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda r: abs(r[col]))
+            piv = nz[0]
+            if piv[col] < 0:
+                for j in range(col, width):
+                    piv[j] = -piv[j]
+            for r in nz[1:]:
+                q = r[col] // piv[col]
+                if q:
+                    for j in range(col, width):
+                        r[j] -= q * piv[j]
+        piv = next((r for r in live if r[col]), None)
+        if piv is None:
+            continue
+        if piv[col] < 0:
+            for j in range(col, width):
+                piv[j] = -piv[j]
+        out.append(piv)
+        cols.append(col)
+        live = [r for r in live if r is not piv and any(r)]
+    for i in range(1, len(out)):
+        row, pc = out[i], cols[i]
+        for k in range(i):
+            q = out[k][pc] // row[pc]
+            if q:
+                for j in range(pc, width):
+                    out[k][j] -= q * row[j]
+    return out
 
 
 def rows_hnf(rows: Sequence[Sequence[int]], d: int) -> list[list[int]]:
@@ -21,39 +71,9 @@ def rows_hnf(rows: Sequence[Sequence[int]], d: int) -> list[list[int]]:
     Requires full rank d (always true for the ideal lattices this package
     builds); raises ValueError otherwise.
     """
-    work = [list(r) for r in rows if any(r)]
-    basis: list[list[int]] = []
-    for col in range(d):
-        while True:
-            nz = [r for r in work if r[col]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            piv = nz[0]
-            if piv[col] < 0:
-                for j in range(col, d):
-                    piv[j] = -piv[j]
-            for r in nz[1:]:
-                q = r[col] // piv[col]
-                if q:
-                    for j in range(col, d):
-                        r[j] -= q * piv[j]
-        piv = next((r for r in work if r[col]), None)
-        if piv is None:
-            raise ValueError("generators do not span a full-rank lattice")
-        work.remove(piv)
-        work = [r for r in work if any(r)]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-    # reduce entries above each pivot into [0, pivot); ascending, since
-    # reducing column i only touches columns >= i of the rows above it
-    for i in range(1, d):
-        for k in range(i):
-            q = basis[k][i] // basis[i][i]
-            if q:
-                for j in range(i, d):
-                    basis[k][j] -= q * basis[i][j]
+    basis = _hnf_pivot_rows([list(r) for r in rows], d)
+    if len(basis) < d:
+        raise ValueError("generators do not span a full-rank lattice")
     return basis
 
 
@@ -68,41 +88,9 @@ def hnf_with_transform(
     n = len(rows)
     work = [list(r) + [1 if i == j else 0 for j in range(n)]
             for i, r in enumerate(rows)]
-    out: list[list[int]] = []
-    for col in range(d):
-        pool = [r for r in work if any(r[:d])]
-        while True:
-            nz = [r for r in pool if r[col]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            piv = nz[0]
-            if piv[col] < 0:
-                for j in range(len(piv)):
-                    piv[j] = -piv[j]
-            for r in nz[1:]:
-                q = r[col] // piv[col]
-                if q:
-                    for j in range(len(r)):
-                        r[j] -= q * piv[j]
-        piv = next((r for r in pool if r[col]), None)
-        if piv is None:
-            continue
-        if piv[col] < 0:
-            for j in range(len(piv)):
-                piv[j] = -piv[j]
-        work.remove(piv)
-        out.append(piv)
-    # reduce entries above each pivot, ascending as in rows_hnf
-    # (full-width ops keep U consistent)
-    for idx in range(1, len(out)):
-        pc = next(c for c in range(d) if out[idx][c])
-        for k in range(idx):
-            q = out[k][pc] // out[idx][pc]
-            if q:
-                for j in range(len(out[k])):
-                    out[k][j] -= q * out[idx][j]
-    out.extend(work)  # rows now zero in the lattice part
+    out = _hnf_pivot_rows(work, d)
+    pivots = {id(r) for r in out}
+    out += [r for r in work if id(r) not in pivots]
     stack = [r[:d] for r in out]
     transform = [r[d:] for r in out]
     return stack, transform
@@ -182,10 +170,11 @@ def ideal_power_lattice(
 
     Generated as a Z-module by p^i * g(theta)^(n-i) * theta^j over
     0 <= i <= n, 0 <= j < d.  The determinant must come out as p^(n*f) with
-    f = deg g; that is asserted, since it is a theorem whenever Z[theta] is
+    f = deg g; that is checked, since it is a theorem whenever Z[theta] is
     maximal at p (which callers have already checked).
     """
-    assert n >= 1
+    if n < 1:
+        raise InvariantViolation(f"ideal power exponent must be >= 1, got {n}")
     d = o.degree
     g = o.element_from_poly(gen_poly)
     rows = []
@@ -202,7 +191,10 @@ def ideal_power_lattice(
             cur = o.mul(cur, o.theta)
     basis = rows_hnf(rows, d)
     f = len(tuple(gen_poly)) - 1
-    assert lattice_det(basis) == p ** (n * f), "index of P^n must be p^(nf)"
+    if lattice_det(basis) != p ** (n * f):
+        raise InvariantViolation(
+            f"index {lattice_det(basis)} of P^{n} differs from p^(nf) = "
+            f"{p ** (n * f)}")
     return basis
 
 

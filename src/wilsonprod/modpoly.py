@@ -13,20 +13,16 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+from .errors import InvariantViolation
+from .order import poly_mul_z, poly_trim
+
 EDF_EXHAUSTIVE_LIMIT = 10_000
 
 Poly = tuple
 
 
-def trim(cs: Sequence[int]) -> Poly:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def normalize(cs: Sequence[int], p: int) -> Poly:
-    return trim(c % p for c in cs)
+    return poly_trim(c % p for c in cs)
 
 
 def degree(a: Poly) -> int:
@@ -39,30 +35,23 @@ def add(a: Poly, b: Poly, p: int) -> Poly:
     out = list(a)
     for i, c in enumerate(b):
         out[i] = (out[i] + c) % p
-    return trim(out)
+    return poly_trim(out)
 
 
 def sub(a: Poly, b: Poly, p: int) -> Poly:
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % p
-    return trim(out)
+    return poly_trim(out)
 
 
 def mul(a: Poly, b: Poly, p: int) -> Poly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return trim(c % p for c in out)
+    return normalize(poly_mul_z(a, b), p)
 
 
 def scale(a: Poly, c: int, p: int) -> Poly:
     c %= p
-    return trim((x * c) % p for x in a)
+    return poly_trim((x * c) % p for x in a)
 
 
 def monic(a: Poly, p: int) -> Poly:
@@ -75,12 +64,13 @@ def monic(a: Poly, p: int) -> Poly:
 
 
 def div_mod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
-    assert b, "division by zero polynomial"
+    if not b:
+        raise InvariantViolation("division by zero polynomial")
     inv = pow(b[-1], -1, p)
     rem = list(a)
     db = len(b) - 1
     if len(rem) <= db:
-        return (), trim(rem)
+        return (), poly_trim(rem)
     quo = [0] * (len(rem) - db)
     for k in range(len(rem) - 1, db - 1, -1):
         c = (rem[k] * inv) % p
@@ -88,7 +78,7 @@ def div_mod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
             quo[k - db] = c
             for j in range(db + 1):
                 rem[k - db + j] = (rem[k - db + j] - c * b[j]) % p
-    return trim(quo), trim(rem)
+    return poly_trim(quo), poly_trim(rem)
 
 
 def mod(a: Poly, b: Poly, p: int) -> Poly:
@@ -113,12 +103,12 @@ def pow_mod(base: Poly, e: int, modulus: Poly, p: int) -> Poly:
 
 
 def derivative(a: Poly, p: int) -> Poly:
-    return trim((i * c) % p for i, c in enumerate(a) if i > 0)
+    return poly_trim((i * c) % p for i, c in enumerate(a) if i > 0)
 
 
 def _pth_root(a: Poly, p: int) -> Poly:
     """p-th root of a polynomial in F_p[x^p] (Frobenius is identity on F_p)."""
-    return trim(a[i] for i in range(0, len(a), p))
+    return poly_trim(a[i] for i in range(0, len(a), p))
 
 
 def squarefree_parts(f: Poly, p: int) -> list[tuple[Poly, int]]:
@@ -188,7 +178,9 @@ def _edf_exhaustive(h: Poly, k: int, p: int) -> list[Poly]:
         if not r:
             out.append(tuple(cand))
             h = q
-    assert degree(h) <= 0, "exhaustive split must consume the polynomial"
+    if degree(h) > 0:
+        raise InvariantViolation(
+            f"exhaustive split left {h} unfactored mod {p}")
     return out
 
 
@@ -202,7 +194,7 @@ def _edf_random(h: Poly, k: int, p: int, rng: random.Random) -> list[Poly]:
             # trace-map splitting
             r = tuple(rng.randrange(2) for _ in range(n)) or (1,)
             t: Poly = ()
-            acc = trim(r)
+            acc = poly_trim(r)
             for _ in range(k):
                 t = add(t, acc, p)
                 acc = mod(mul(acc, acc, p), h, p)
@@ -224,7 +216,8 @@ def factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
     calls and different machines agree on the ordering.
     """
     f = normalize(f, p)
-    assert degree(f) >= 1 and f[-1] == 1, "need a monic polynomial"
+    if degree(f) < 1 or f[-1] != 1:
+        raise InvariantViolation(f"need a monic polynomial, got {f} mod {p}")
     found: dict[Poly, int] = {}
     for part, m in squarefree_parts(f, p):
         for prod, k in distinct_degree(part, p):

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Iterable, Sequence
 
-from .errors import DegreeMismatch, DegreeZero, NotMonic, ParseError, Reducible
+from .errors import (
+    DegreeMismatch,
+    DegreeZero,
+    InvariantViolation,
+    NotMonic,
+    ParseError,
+    Reducible,
+)
 
 Poly = tuple  # tuple[int, ...], constant coefficient first
 
@@ -50,7 +57,8 @@ def poly_mul_z(a: Sequence[int], b: Sequence[int]) -> Poly:
 
 def poly_divmod_monic(a: Sequence[int], g: Sequence[int]) -> tuple[Poly, Poly]:
     """Divide by a *monic* g over Z; quotient and remainder are integral."""
-    assert g and g[-1] == 1
+    if not g or g[-1] != 1:
+        raise InvariantViolation(f"divisor {tuple(g)} is not monic")
     rem = list(a)
     dg = len(g) - 1
     if dg == 0:
@@ -321,11 +329,6 @@ class NumberFieldOrder:
             rows.append(list(self._coerce(cur)))
             cur = self.mul(cur, self.theta)
         return abs(_bareiss_det(rows))
-
-    # -- misc ----------------------------------------------------------------
-
-    def element_str(self, a: OrderElement, var: str = "x") -> str:
-        return poly_str(a.coeffs, var)
 
     def __str__(self) -> str:
         return f"Z[x]/({poly_str(self.poly)})"

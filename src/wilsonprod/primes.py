@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from . import lattice, modpoly
 from .errors import (
+    InvariantViolation,
     NoSuchPrimeIndex,
     NonMaximalOrder,
     NormTooLarge,
@@ -23,7 +24,7 @@ from .errors import (
     ParseError,
     ZeroElement,
 )
-from .order import NumberFieldOrder, OrderElement, poly_str
+from .order import NumberFieldOrder, OrderElement, poly_mul_z, poly_str
 
 DEFAULT_NORM_CAP = 10 ** 12
 
@@ -131,30 +132,20 @@ def dedekind_maximal(o: NumberFieldOrder, p: int) -> bool:
     for g, _ in factors:
         g_rad = modpoly.mul(g_rad, g, p)
     h_star = modpoly.div_mod(fbar, g_rad, p)[0]
-    # integer lifts with coefficients in [0, p)
-    lift_g = tuple(g_rad)
-    lift_h = tuple(h_star)
-    prod = _zmul(lift_g, lift_h)
+    # g* and h* have coefficients in [0, p), so they are their own lifts
+    prod = poly_mul_z(g_rad, h_star)
     t = []
     for i in range(max(len(prod), len(o.poly))):
         a = prod[i] if i < len(prod) else 0
         b = o.poly[i] if i < len(o.poly) else 0
         q, r = divmod(a - b, p)
-        assert r == 0, "g*h* must be congruent to f mod p"
+        if r:
+            raise InvariantViolation(
+                f"g*h* is not congruent to {poly_str(o.poly)} mod {p}")
         t.append(q)
     tbar = modpoly.normalize(t, p)
     d = modpoly.gcd(modpoly.gcd(tbar, g_rad, p), h_star, p)
     return modpoly.degree(d) == 0
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return tuple(out)
 
 
 def factor_prime(o: NumberFieldOrder, p: int) -> tuple[PrimeIdealData, ...]:
@@ -173,7 +164,10 @@ def factor_prime(o: NumberFieldOrder, p: int) -> tuple[PrimeIdealData, ...]:
     for idx, (g, e) in enumerate(factors):
         out.append(PrimeIdealData(p=p, gen_poly=g, e=e,
                                   f=modpoly.degree(g), index=idx))
-    assert sum(pd.e * pd.f for pd in out) == o.degree
+    if sum(pd.e * pd.f for pd in out) != o.degree:
+        raise InvariantViolation(
+            f"sum of e*f over the primes above {p} differs from the degree "
+            f"{o.degree}")
     return tuple(out)
 
 
@@ -214,9 +208,12 @@ class FactoredIdeal:
     def __post_init__(self):
         seen = set()
         for pd, m in self.factors:
-            assert m >= 1, "exponents must be >= 1"
+            if m < 1:
+                raise InvariantViolation(f"exponents must be >= 1, got {m}")
             key = (pd.p, pd.index)
-            assert key not in seen, "prime factors must be distinct"
+            if key in seen:
+                raise InvariantViolation(
+                    f"prime factors must be distinct, {pd} is repeated")
             seen.add(key)
 
     @classmethod
@@ -258,7 +255,7 @@ def factor_element(o: NumberFieldOrder, a: OrderElement,
 
     The rational primes involved are exactly those dividing N(a); each
     exponent is a valuation.  The reconstruction identity
-    prod p^(m*f) = |N(a)| is asserted before returning.
+    prod p^(m*f) = |N(a)| is checked before returning.
     """
     n = o.norm(a)
     if n == 0:
@@ -272,7 +269,10 @@ def factor_element(o: NumberFieldOrder, a: OrderElement,
             if m:
                 out.append((pd, m))
     result = FactoredIdeal(tuple(out))
-    assert result.absolute_norm == n, "norm reconstruction failed"
+    if result.absolute_norm != n:
+        raise InvariantViolation(
+            f"factors of norm {result.absolute_norm} do not reconstruct "
+            f"|N(a)| = {n}")
     return result
 
 

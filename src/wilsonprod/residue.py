@@ -8,11 +8,12 @@ the brute-force side of the package, against which the closed-form
 classification in `wilson` is checked.
 
 Enumeration-heavy operations (unit listing, the all-units product, the
-square-roots-of-1 census) run on int64 numpy arrays when precomputed worst
-case bounds prove that no intermediate value can overflow; otherwise they
-fall back to plain big-int loops with identical semantics.  Coefficients are
-reduced modulo |o/a| between multiplications (|o/a| annihilates o/a, so this
-never changes a residue class), which is what keeps the bounds small.
+square-roots-of-1 census) run on int64 numpy arrays; a worst-case bound
+checked at ring construction proves that no intermediate value can
+overflow, and enumerating a ring beyond it raises RingTooLarge.
+Coefficients are reduced modulo |o/a| between multiplications (|o/a|
+annihilates o/a, so this never changes a residue class), which is what
+keeps the bounds small.
 """
 
 from __future__ import annotations
@@ -113,14 +114,17 @@ class ResidueRing:
         for pd, m in modulus.factors:
             q = pd.p ** pd.f
             self.unit_count *= q ** (m - 1) * (q - 1)
-        # x^(d+t) mod f rows, for vectorized polynomial reduction
+        # x^(d+t) mod f rows, for vectorized polynomial reduction; only
+        # their residues mod |o/a| are ever used, and symmetric residues keep
+        # the int64 bounds independent of the size of f's coefficients
         d = o.degree
+        n = self.size
+        half = n // 2
         self._red_rows = []
         for t in range(d - 1):
-            xs = (0,) * (d + t) + (1,)
-            _, rem = poly_divmod_monic(xs, o.poly)
+            _, rem = poly_divmod_monic((0,) * (d + t) + (1,), o.poly)
             rem = rem + (0,) * (d - len(rem))
-            self._red_rows.append(rem)
+            self._red_rows.append([(c + half) % n - half for c in rem])
         self._np_ok = self._bounds_allow_int64()
         self._units_arr: np.ndarray | None = None
         self._one = self.reduce(o.one)
@@ -136,17 +140,13 @@ class ResidueRing:
         # with "defer", coefficients are reduced only after the high-degree
         # columns of the convolution are folded back in
         self._defer_mod = d * n * n * s < _INT64_SAFE
-        if d * n * n >= _INT64_SAFE or (2 * d + 4) * n * n >= _INT64_SAFE:
-            return False
-        return n * s < _INT64_SAFE
+        # fold row entries are at most n/2 in size, so n*s < (2d+4)*n^2 and
+        # this one bound covers every kernel
+        return (2 * d + 4) * n * n < _INT64_SAFE
 
     @property
     def one(self) -> ResidueElement:
         return self._one
-
-    @property
-    def zero(self) -> ResidueElement:
-        return self.reduce([0] * self.order.degree)
 
     def reduce(self, x: OrderElement | Sequence[int]) -> ResidueElement:
         coeffs = x.coeffs if isinstance(x, OrderElement) else tuple(x)
@@ -186,22 +186,18 @@ class ResidueRing:
     def _units_array(self) -> np.ndarray:
         """The units as (count, d) rows, in box order.
 
-        On the int64 path the rows are a transposed view of a contiguous
-        (d, count) array, the layout the kernels read.
+        The rows are a transposed view of a contiguous (d, count) array, the
+        layout the kernels read.  Raises RingTooLarge when the ring is beyond
+        the int64 bound of the kernels.
         """
         if self._units_arr is None:
-            if self._np_ok:
-                self._units_arr = _np_units(
-                    self.diag, [(pd.p, rad) for (pd, _), rad in
-                                zip(self.modulus.factors,
-                                    self.radical_bases)])
-            else:
-                rows = [t for t in
-                        itertools.product(*(range(h) for h in self.diag))
-                        if all(not lattice.contains(rad, t)
-                               for rad in self.radical_bases)]
-                self._units_arr = np.array(rows, dtype=object).reshape(
-                    len(rows), self.order.degree)
+            if not self._np_ok:
+                raise RingTooLarge(
+                    f"|o/a| = {self.size} is beyond the int64 enumeration "
+                    f"bound (2d+4)*|o/a|^2 < 2^62 at degree {self.order.degree}")
+            self._units_arr = _np_units(
+                self.diag, [(pd.p, rad) for (pd, _), rad in
+                            zip(self.modulus.factors, self.radical_bases)])
             if len(self._units_arr) != self.unit_count:
                 raise InvariantViolation(
                     f"{len(self._units_arr)} units enumerated in {self}, "
@@ -221,39 +217,21 @@ class ResidueRing:
         are reduced mod |o/a| after every multiplication and the final
         vector is reduced to its canonical representative.
         """
-        arr = self._units_array()
-        if self._np_ok:
-            col = _np_tree_product(arr.T, self._np_one(),
-                                   self._np_red_rows(), self.size,
-                                   self.order.degree, self._defer_mod)
-            vec = [int(c) for c in col]
-        else:
-            acc = self.order.one.coeffs
-            n = self.size
-            for row in arr:
-                prod = self.order.mul(self.order.element(acc),
-                                      self.order.element([int(c) for c in row]))
-                acc = tuple(c % n for c in prod.coeffs)
-            vec = list(acc)
-        return self.reduce(vec)
+        col = _np_tree_product(self._units_array().T, self._np_one(),
+                               self._np_red_rows(), self.size,
+                               self.order.degree, self._defer_mod)
+        return self.reduce([int(c) for c in col])
 
     def order2_census(self) -> Census:
         """Count and list the units squaring to 1; d2 = log2 of the count."""
         arr = self._units_array()
-        if self._np_ok:
-            cols = arr.T
-            sq = _np_mul(cols, cols, self._np_red_rows(), self.size,
-                         self.order.degree, self._defer_mod)
-            red = _np_reduce(sq.T, self.basis, self.size)
-            mask = (red == self._np_one()[None, :]).all(axis=1)
-            sols = [ResidueElement(self, tuple(int(c) for c in row))
-                    for row in arr[mask]]
-        else:
-            sols = []
-            for row in arr:
-                x = ResidueElement(self, tuple(int(c) for c in row))
-                if self.mul(x, x) == self.one:
-                    sols.append(x)
+        cols = arr.T
+        sq = _np_mul(cols, cols, self._np_red_rows(), self.size,
+                     self.order.degree, self._defer_mod)
+        red = _np_reduce(sq.T, self.basis, self.size)
+        mask = (red == self._np_one()[None, :]).all(axis=1)
+        sols = [ResidueElement(self, tuple(int(c) for c in row))
+                for row in arr[mask]]
         n_sols = len(sols)
         if n_sols & (n_sols - 1):
             raise NotAPowerOfTwo(
@@ -272,16 +250,9 @@ class ResidueRing:
         shift = pd.p ** (j * pd.f)
         arr = self._units_array()
         one_vec = [1] + [0] * (self.order.degree - 1)
-        if self._np_ok:
-            shifted = arr - np.array(one_vec, dtype=np.int64)[None, :]
-            mask = _np_in_lattice(shifted, pj, shift)
-            rows = arr[mask]
-        else:
-            rows = [row for row in arr
-                    if lattice.contains(pj, [int(c) - o for c, o in
-                                             zip(row, one_vec)])]
+        shifted = arr - np.array(one_vec, dtype=np.int64)[None, :]
         return [ResidueElement(self, tuple(int(c) for c in row))
-                for row in rows]
+                for row in arr[_np_in_lattice(shifted, pj, shift)]]
 
     def subgroup_product(self, gens: Iterable[ResidueElement]) -> ResidueElement:
         """Product of all elements of the subgroup generated by ``gens``.
@@ -464,11 +435,15 @@ def _np_units(diag: Sequence[int],
     transposed view of a contiguous (d, count) array.
     """
     d = len(diag)
-    mask = np.ones(tuple(diag), dtype=bool)
+    # the mask keeps only the axes longer than 1: at most log2 |o/a| of
+    # them, within numpy's 64 dimensions at any degree
+    shape = tuple(h for h in diag if h > 1)
+    mask = np.ones(shape, dtype=bool)
     for p, rad in radicals:
         sub = tuple(min(h, p) for h in diag)
-        m = ~_np_in_lattice(_np_box(sub), rad, p).reshape(sub)
-        for i, h in enumerate(diag):
+        m = ~_np_in_lattice(_np_box(sub), rad, p).reshape(
+            tuple(min(h, p) for h in shape))
+        for i, h in enumerate(shape):
             if h > p:
                 m = _np_periodic(m, i, h)
         mask &= m

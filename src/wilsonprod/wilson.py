@@ -18,10 +18,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import lattice
-from .errors import NotUniqueTorsion, UniformizerNotFound
+from .errors import InvariantViolation, NotUniqueTorsion, UniformizerNotFound
 from .order import NumberFieldOrder, OrderElement
 from .primes import FactoredIdeal, PrimeIdealData, factor_prime, valuation
 from .residue import (
@@ -47,46 +47,6 @@ class ProductClass(Enum):
                 "one_plus_pi_sq": "1+pi^2"}[self.value]
 
 
-@dataclass(frozen=True)
-class D2Class:
-    """Either an exact 2-torsion dimension or the verdict "more than one".
-
-    Exact values are asserted only in the regimes where they are proved;
-    everywhere else the classification needs no more than d2 >= 2, which is
-    what ``more_than_one`` records.
-    """
-
-    value: int | None  # None encodes "> 1"
-
-    @staticmethod
-    def exact(k: int) -> "D2Class":
-        return D2Class(k)
-
-    @staticmethod
-    def more_than_one() -> "D2Class":
-        return D2Class(None)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.value is not None
-
-    def matches_census(self, d2: int) -> bool:
-        return d2 == self.value if self.is_exact else d2 >= 2
-
-    def __str__(self) -> str:
-        return f"{self.value}" if self.is_exact else ">1"
-
-
-def d2_sum(classes: Iterable[D2Class]) -> D2Class:
-    """Total d2 over a direct product; additive when every term is exact."""
-    total = 0
-    for c in classes:
-        if not c.is_exact:
-            return D2Class.more_than_one()
-        total += c.value
-    return D2Class.exact(total)
-
-
 # ---------------------------------------------------------------------------
 # Abstract abelian groups: the sum of all elements.
 # ---------------------------------------------------------------------------
@@ -98,8 +58,10 @@ class AbelianGroupSpec:
     cyclic_orders: tuple
 
     def __post_init__(self):
-        assert all(n >= 2 for n in self.cyclic_orders), \
-            "cyclic factors must have order at least 2"
+        if not all(n >= 2 for n in self.cyclic_orders):
+            raise InvariantViolation(
+                f"cyclic factors must have order at least 2, got "
+                f"{self.cyclic_orders}")
 
     @property
     def d2(self) -> int:
@@ -136,40 +98,33 @@ def group_sum_enumerated(spec: AbelianGroupSpec) -> tuple:
 # Local rules at one prime power P^n.
 # ---------------------------------------------------------------------------
 
-def d2_local(p: int, e: int, f: int, n: int) -> D2Class:
+def d2_local(p: int, e: int, f: int, n: int) -> int:
     """2-torsion dimension of (o/P^n)^x from the local invariants.
 
-    The rules, in order: odd residue characteristic gives a cyclic-type
-    2-part (d2 = 1); for p = 2 the first two unit-filtration layers give 0
-    and f; the depth-3 totally-residual case gives 1; the unramified
-    rational case (e = f = 1, n > 2) gives 2; beyond twice the ramification
-    (n > 2e) the dimension stabilizes at 1 + e*f; in the remaining band only
-    d2 > 1 is asserted.
+    Odd residue characteristic gives d2 = 1 (the residue field's cyclic
+    group of even order; the rest is a p-group).  For p = 2, x^2 = 1 means
+    (x-1)(x+1) in P^n with x-1 and x+1 differing by 2, of valuation e; the
+    valuation count gives d2 = f*floor(n/2) while n <= 2e, and the stable
+    value 1 + e*f beyond it.
     """
-    assert e >= 1 and f >= 1 and n >= 1
+    if not (e >= 1 and f >= 1 and n >= 1):
+        raise InvariantViolation(
+            f"local invariants must be positive, got e={e}, f={f}, n={n}")
     if p != 2:
-        return D2Class.exact(1)
-    if n == 1:
-        return D2Class.exact(0)
-    if n == 2:
-        return D2Class.exact(f)
-    if n == 3 and f == 1 and e > 1:
-        return D2Class.exact(1)
-    if e == 1 and f == 1:  # n > 2
-        return D2Class.exact(2)
-    if n > 2 * e:
-        return D2Class.exact(1 + e * f)
-    return D2Class.more_than_one()
+        return 1
+    if n <= 2 * e:
+        return f * (n // 2)
+    return 1 + e * f
 
 
-def d2_of_ideal(a: FactoredIdeal) -> D2Class:
+def d2_of_ideal(a: FactoredIdeal) -> int:
     """Global d2, additive over the prime-power factors of a."""
-    return d2_sum(d2_local(pd.p, pd.e, pd.f, m) for pd, m in a.factors)
+    return sum(d2_local(pd.p, pd.e, pd.f, m) for pd, m in a.factors)
 
 
 def order2_local(p: int, e: int, f: int, n: int) -> ProductClass:
     """Symbol of the unique order-2 element of (o/P^n)^x, when unique."""
-    if d2_local(p, e, f, n) != D2Class.exact(1):
+    if d2_local(p, e, f, n) != 1:
         raise NotUniqueTorsion(
             f"(p={p}, e={e}, f={f}, n={n}) does not have a unique order-2 "
             "element")
@@ -222,17 +177,9 @@ class WilsonProduct:
 
 
 def _contributing_factor(a: FactoredIdeal):
-    """The unique factor with local d2 = 1, if the global d2 is exactly 1."""
-    hit = None
-    for pd, m in a.factors:
-        c = d2_local(pd.p, pd.e, pd.f, m)
-        if c == D2Class.exact(1):
-            if hit is not None:
-                return None
-            hit = (pd, m)
-        elif c != D2Class.exact(0):
-            return None
-    return hit
+    """The factor whose local d2 is 1 (there is one when the global d2 is 1)."""
+    return next((pd, m) for pd, m in a.factors
+                if d2_local(pd.p, pd.e, pd.f, m) == 1)
 
 
 def witness_element(o: NumberFieldOrder, a: FactoredIdeal,
@@ -285,7 +232,7 @@ def classify_global(o: NumberFieldOrder, a: FactoredIdeal, *,
     kind = ProductClass.ONE
     prime = None
     pi = None
-    if d2_of_ideal(a) == D2Class.exact(1):
+    if d2_of_ideal(a) == 1:
         pd, m = _contributing_factor(a)
         kind = order2_local(pd.p, pd.e, pd.f, m)
         if kind is not ProductClass.MINUS_ONE:

@@ -203,3 +203,15 @@ def test_cyclo_demo_text(capsys):
     code, out = run(capsys, "cyclo-demo", "--t", "2", "--n-max", "4")
     assert code == 0
     assert "pattern verified" in out
+
+
+@pytest.mark.parametrize("t", ["5", "8"])
+def test_cyclo_demo_high_degree(capsys, t):
+    # x^16+1 and x^128+1: the demo must not run make_order's irreducibility
+    # search, and the unit mask must not need an axis per degree (numpy
+    # arrays have at most 64)
+    code, doc = run_json(capsys, "cyclo-demo", "--t", t, "--n-max", "4")
+    assert code == 0
+    assert doc["ok"] is True
+    assert [r["class"] for r in doc["rows"]] == \
+        ["one", "one_plus_pi", "one_plus_pi_sq", "one"]

@@ -19,6 +19,7 @@ from wilsonprod.primes import (
     parse_ideal,
 )
 from wilsonprod.residue import ResidueRing, build_residue_ring
+from wilsonprod.wilson import ProductClass, classify_global
 
 from conftest import CATALOG_POLYS
 
@@ -322,33 +323,46 @@ def test_unit_group_orders_multiply(catalog):
             assert ring.pow(u, ring.unit_count) == ring.one
 
 
-# -- numpy path vs. pure-python path -----------------------------------------
+# -- int64 kernels vs. the scalar ring API -----------------------------------
 
-def test_python_fallback_agrees(catalog):
+def test_kernels_agree_with_scalar_reference(catalog):
     # prime powers, composites whose size is not a power of two (the
     # general modulus path of the kernels) and quartic rings; unit counts
-    # that are not powers of two leave an odd column at some tree level
-    cases = (("rational", "2^3"), ("gaussian", "2^3"), ("golden", "2^3"),
-             ("golden", "2^2; 3^1"), ("rational", "2^2; 3^1; 7^1"),
-             ("zeta8", "2^3"), ("zeta8", "2^3; 3^1"),
-             ("zeta8", "2^2; 5^1@1; 3^1@1"))
-    for name, label in cases:
-        o = catalog[name]
-        ring_np = build_residue_ring(o, parse_ideal(o, label))
-        assert ring_np._np_ok
-        prod_np = ring_np.unit_product()
-        census_np = ring_np.order2_census()
-        units_np = [u.coeffs for u in ring_np.units()]
+    # that are not powers of two leave an odd column at some tree level;
+    # the large-coefficient ring has fold rows far beyond |o/a|
+    cases = ((catalog["rational"], "2^3"), (catalog["gaussian"], "2^3"),
+             (catalog["golden"], "2^3"), (catalog["golden"], "2^2; 3^1"),
+             (catalog["rational"], "2^2; 3^1; 7^1"),
+             (catalog["zeta8"], "2^3"), (catalog["zeta8"], "2^3; 3^1"),
+             (catalog["zeta8"], "2^2; 5^1@1; 3^1@1"),
+             (make_order("x^2+3377699720527872x+1"), "5^3; 3^2"))
+    for o, label in cases:
+        ring = build_residue_ring(o, parse_ideal(o, label))
+        units = [x for x in ring.elements() if ring.is_unit(x)]
+        product = ring.one
+        for x in units:
+            product = ring.mul(product, x)
+        roots = [x for x in units if ring.mul(x, x) == ring.one]
 
-        ring_py = build_residue_ring(o, parse_ideal(o, label))
-        ring_py._np_ok = False
-        ring_py._units_arr = None
-        assert [u.coeffs for u in ring_py.units()] == units_np
-        assert ring_py.unit_product().coeffs == prod_np.coeffs
-        census_py = ring_py.order2_census()
-        assert census_py.d2 == census_np.d2
-        assert sorted(s.coeffs for s in census_py.elements) == \
-            sorted(s.coeffs for s in census_np.elements)
+        assert ring.units() == units, label
+        assert ring.unit_product() == product, label
+        census = ring.order2_census()
+        assert census.elements == roots, label
+        assert census.d2 == len(roots).bit_length() - 1
+
+
+def test_enumeration_beyond_int64_bound_is_refused(catalog):
+    o = catalog["gaussian"]
+    ring = build_residue_ring(o, parse_ideal(o, "2^31"), cap=1 << 40)
+    with pytest.raises(RingTooLarge):
+        ring.unit_product()
+
+
+def test_classify_beyond_int64_bound_has_a_witness(catalog):
+    o = catalog["gaussian"]
+    res = classify_global(o, parse_ideal(o, "2^31"), cap=1 << 40)
+    assert res.kind is ProductClass.ONE
+    assert res.witness == res.witness.ring.one
 
 
 def test_dump_shape(catalog):

@@ -17,13 +17,11 @@ from wilsonprod.primes import (
 from wilsonprod.residue import build_residue_ring
 from wilsonprod.wilson import (
     AbelianGroupSpec,
-    D2Class,
     ProductClass,
     classify_gauss,
     classify_global,
     d2_local,
     d2_of_ideal,
-    d2_sum,
     gauss_product,
     group_sum,
     group_sum_enumerated,
@@ -62,42 +60,27 @@ def test_group_d2_counts_even_orders():
 # -- local d2 rules ------------------------------------------------------------
 
 def test_d2_local_odd_primes():
-    assert d2_local(3, 1, 1, 5) == D2Class.exact(1)
-    assert d2_local(7, 2, 3, 1) == D2Class.exact(1)
+    assert d2_local(3, 1, 1, 5) == 1
+    assert d2_local(7, 2, 3, 1) == 1
 
 
 def test_d2_local_at_two():
-    assert d2_local(2, 2, 1, 1) == D2Class.exact(0)
-    assert d2_local(2, 1, 2, 2) == D2Class.exact(2)  # n = 2 gives f
-    assert d2_local(2, 4, 1, 2) == D2Class.exact(1)
-    assert d2_local(2, 2, 1, 3) == D2Class.exact(1)  # depth 3, f = 1, e > 1
-    assert d2_local(2, 1, 1, 3) == D2Class.exact(2)  # rational 2-adic
-    assert d2_local(2, 1, 1, 9) == D2Class.exact(2)
-    assert d2_local(2, 2, 1, 5) == D2Class.exact(3)  # n > 2e: 1 + ef
-    assert d2_local(2, 1, 2, 4) == D2Class.exact(3)  # n > 2e: 1 + ef
-    assert d2_local(2, 4, 1, 9) == D2Class.exact(5)
+    assert d2_local(2, 2, 1, 1) == 0
+    assert d2_local(2, 1, 2, 2) == 2  # n = 2 gives f
+    assert d2_local(2, 4, 1, 2) == 1
+    assert d2_local(2, 2, 1, 3) == 1  # depth 3, f = 1, e > 1
+    assert d2_local(2, 1, 1, 3) == 2  # rational 2-adic
+    assert d2_local(2, 1, 1, 9) == 2
+    assert d2_local(2, 2, 1, 5) == 3  # n > 2e: 1 + ef
+    assert d2_local(2, 1, 2, 4) == 3  # n > 2e: 1 + ef
+    assert d2_local(2, 4, 1, 9) == 5
 
 
-def test_d2_local_undetermined_band():
-    assert d2_local(2, 4, 1, 4) == D2Class.more_than_one()
-    assert d2_local(2, 2, 2, 3) == D2Class.more_than_one()
-    assert not d2_local(2, 4, 1, 4).is_exact
-
-
-def test_d2_class_census_matching():
-    assert D2Class.exact(2).matches_census(2)
-    assert not D2Class.exact(2).matches_census(3)
-    assert D2Class.more_than_one().matches_census(2)
-    assert D2Class.more_than_one().matches_census(7)
-    assert not D2Class.more_than_one().matches_census(1)
-
-
-def test_d2_sum():
-    assert d2_sum([D2Class.exact(1), D2Class.exact(0)]) == D2Class.exact(1)
-    assert d2_sum([D2Class.exact(1), D2Class.exact(1)]) == D2Class.exact(2)
-    assert d2_sum([]) == D2Class.exact(0)
-    assert d2_sum([D2Class.exact(0), D2Class.more_than_one()]) == \
-        D2Class.more_than_one()
+def test_d2_local_below_twice_the_ramification():
+    # n <= 2e: f * floor(n/2), the band the rules used to leave as "> 1"
+    assert d2_local(2, 4, 1, 4) == 2
+    assert d2_local(2, 2, 2, 3) == 2
+    assert d2_local(2, 8, 1, 7) == 3
 
 
 # -- the symbolic order-2 element ----------------------------------------------
@@ -275,24 +258,26 @@ def test_witness_independent_of_uniformizer(catalog):
 # -- classifier vs. census on a small sample ------------------------------------
 
 def test_d2_local_matches_census_sample(catalog):
-    for o in catalog.values():
+    # the catalog plus e = 3 (x^3-2), e = f = 2 (x^4-x^2+1) and e = 8 (x^8+1)
+    orders = list(catalog.values()) + [
+        make_order(poly) for poly in ("x^3-2", "x^4-x^2+1", "x^8+1")]
+    for o in orders:
         for p in (2, 3):
             for pd in factor_prime(o, p):
-                for n in range(1, 7):
-                    if pd.residue_size ** n > 4096:
-                        break
+                n = 1
+                while pd.residue_size ** n <= 4096:
                     ring = build_residue_ring(o, FactoredIdeal(((pd, n),)))
-                    claim = d2_local(pd.p, pd.e, pd.f, n)
-                    assert claim.matches_census(ring.order2_census().d2), \
-                        f"{ring}: claimed d2 {claim}"
+                    assert ring.order2_census().d2 == \
+                        d2_local(pd.p, pd.e, pd.f, n), str(ring)
+                    n += 1
 
 
 def test_d2_of_ideal_additive(catalog):
     o = catalog["gaussian"]
     a = parse_ideal(o, "2^2; 3^1; 5^1@0")
     # factors contribute f=1 (n=2 at 2), 1 (odd), 1 (odd)
-    assert d2_of_ideal(a) == D2Class.exact(3)
-    assert d2_of_ideal(FactoredIdeal(())) == D2Class.exact(0)
+    assert d2_of_ideal(a) == 3
+    assert d2_of_ideal(FactoredIdeal(())) == 0
 
 
 # -- the classical integer case --------------------------------------------------
