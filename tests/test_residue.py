@@ -325,8 +325,9 @@ def test_unit_group_orders_multiply(catalog):
 
 # -- int64 kernels vs. the scalar ring API -----------------------------------
 
-def test_kernels_agree_with_scalar_reference(catalog):
-    # prime powers, composites whose size is not a power of two (the
+def test_python_fallback_agrees(catalog):
+    # the int64 kernels against a pure-Python reference built only from the
+    # scalar ring API (elements, is_unit, mul); prime powers, composites whose size is not a power of two (the
     # general modulus path of the kernels) and quartic rings; unit counts
     # that are not powers of two leave an odd column at some tree level;
     # the large-coefficient ring has fold rows far beyond |o/a|

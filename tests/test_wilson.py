@@ -76,7 +76,7 @@ def test_d2_local_at_two():
     assert d2_local(2, 4, 1, 9) == 5
 
 
-def test_d2_local_below_twice_the_ramification():
+def test_d2_local_undetermined_band():
     # n <= 2e: f * floor(n/2), the band the rules used to leave as "> 1"
     assert d2_local(2, 4, 1, 4) == 2
     assert d2_local(2, 2, 2, 3) == 2
