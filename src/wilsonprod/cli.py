@@ -7,7 +7,9 @@ classical table over Z), and ``cyclo-demo`` (the 2-power cyclotomic pattern
 1, 1+pi, 1+pi^2, 1, 1, ...).
 
 Exit codes: 0 success/match, 1 verification mismatch, 2 error (reported as a
-single JSON object on stdout regardless of output mode).
+single JSON object on stdout regardless of output mode; an exception that is
+not a WilsonError is a defect and is reported as ``internal_error``, with its
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .errors import InvariantViolation, ParseError, WilsonError
 from .order import NumberFieldOrder, make_order, parse_poly, poly_str
@@ -30,6 +33,10 @@ from .wilson import (
     sweep_field,
     verify_ideal,
 )
+
+
+# the largest cyclo-demo --t: degree 2^7 = 128, a few seconds
+CYCLO_T_MAX = 8
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: list) -> None:
@@ -174,10 +181,10 @@ def cmd_cyclo_demo(args: argparse.Namespace) -> int:
     _check_nonnegative(args.n_max, "n-max")
     if args.t < 2:
         raise ParseError("--t must be at least 2")
+    if args.t > CYCLO_T_MAX:
+        raise ParseError(f"--t must be at most {CYCLO_T_MAX}")
     m = 1 << (args.t - 1)
-    # x^(2^(t-1)) + 1 is Eisenstein at 2 after x -> x+1, hence irreducible;
-    # make_order's general irreducibility search would not finish at t >= 5
-    o = NumberFieldOrder((1,) + (0,) * (m - 1) + (1,))
+    o = make_order((1,) + (0,) * (m - 1) + (1,))
     factors = factor_prime(o, 2)
     if len(factors) != 1 or factors[0].e != m or factors[0].f != 1:
         raise InvariantViolation(
@@ -267,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_cyclo_demo)
     common(p, poly=False)
     p.add_argument("--t", type=int, required=True,
-                   help="conductor exponent (t >= 2; degree is 2^(t-1))")
+                   help="conductor exponent (2 <= t <= %d; degree is"
+                        " 2^(t-1))" % CYCLO_T_MAX)
     p.add_argument("--n-max", dest="n_max", type=int, default=6)
 
     return parser
@@ -297,6 +305,14 @@ def main(argv=None) -> int:
         return args.handler(args)
     except WilsonError as exc:
         print(json.dumps({"error": {"type": exc.code, "message": str(exc)}}))
+        return 2
+    except Exception as exc:
+        # a defect, not a bad input: keep the traceback on stderr and still
+        # answer with one JSON error
+        traceback.print_exc()
+        message = f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"error": {"type": "internal_error",
+                                    "message": message}}))
         return 2
 
 

@@ -32,6 +32,12 @@ class Reducible(WilsonError):
     code = "reducible"
 
 
+class IrreducibilityUndecided(WilsonError):
+    """The factor search ran out of its work budget before deciding."""
+
+    code = "irreducibility_undecided"
+
+
 class DegreeZero(WilsonError):
     code = "degree_zero"
 

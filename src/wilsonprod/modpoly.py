@@ -2,10 +2,11 @@
 
 Polynomials are tuples of ints in [0, p), constant term first, trimmed.
 Factorization runs squarefree decomposition, then distinct-degree splitting,
-then equal-degree splitting: Cantor-Zassenhaus with random binomials when
-the residue field is large, and an exhaustive search over monic divisors
-when p^k is small (below 10^4), which keeps the common cases free of
-randomness.  The factor list is returned in a canonical sorted order.
+then equal-degree splitting: Cantor-Zassenhaus with random polynomials
+(seeded by the input) when the residue field is large, and an exhaustive
+search over monic divisors when p^k is small (below 10^4), which keeps the
+common cases free of randomness.  The factor list is returned in a
+canonical sorted order.
 """
 
 from __future__ import annotations
@@ -190,19 +191,20 @@ def _edf_random(h: Poly, k: int, p: int, rng: random.Random) -> list[Poly]:
         return [h]
     n = degree(h)
     while True:
+        # a random r of degree < n: a binomial x + a alone can fail to split
+        # h for every a in F_p (x^12 - x^6 + 1 mod 7 never splits that way)
+        r = poly_trim(rng.randrange(p) for _ in range(n))
         if p == 2:
             # trace-map splitting
-            r = tuple(rng.randrange(2) for _ in range(n)) or (1,)
             t: Poly = ()
-            acc = poly_trim(r)
+            acc = r
             for _ in range(k):
                 t = add(t, acc, p)
                 acc = mod(mul(acc, acc, p), h, p)
             d = gcd(t, h, p)
         else:
-            # random binomial x + a, powered to (p^k - 1) / 2
-            a = rng.randrange(p)
-            s = pow_mod((a, 1), (p ** k - 1) // 2, h, p)
+            # r powered to (p^k - 1) / 2
+            s = pow_mod(r, (p ** k - 1) // 2, h, p)
             d = gcd(sub(s, (1,), p), h, p)
         if 0 < degree(d) < degree(h):
             rest = div_mod(h, d, p)[0]

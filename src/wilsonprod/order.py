@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, gcd, isqrt, log
 from typing import Iterable, Sequence
 
 from .errors import (
     DegreeMismatch,
     DegreeZero,
     InvariantViolation,
+    IrreducibilityUndecided,
     NotMonic,
     ParseError,
     Reducible,
@@ -71,13 +72,6 @@ def poly_divmod_monic(a: Sequence[int], g: Sequence[int]) -> tuple[Poly, Poly]:
             for j in range(dg + 1):
                 rem[k - dg + j] -= c * g[j]
     return poly_trim(quo), poly_trim(rem)
-
-
-def poly_eval(a: Sequence[int], x: int) -> int:
-    out = 0
-    for c in reversed(a):
-        out = out * x + c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +153,6 @@ def poly_str(coeffs: Sequence[int], var: str = "x") -> str:
 # irreducibility over Q (monic, integer coefficients)
 # ---------------------------------------------------------------------------
 
-def _divisors_up_to(n: int, bound: int):
-    """All positive divisors of n that are <= bound (n > 0)."""
-    small, large = [], []
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            if i <= bound:
-                small.append(i)
-            j = n // i
-            if j != i and j <= bound:
-                large.append(j)
-    return small + large[::-1]
-
-
 def _factor_bounds(f: Sequence[int], k: int) -> list[int]:
     """Per-coefficient bounds for a monic degree-k factor of monic f.
 
@@ -185,39 +166,194 @@ def _factor_bounds(f: Sequence[int], k: int) -> list[int]:
             for j in range(k)]
 
 
+# the primes the Eisenstein test, the degree sieve and the search try, in
+# order
+_SMALL_PRIMES = tuple(p for p in range(2, 1000)
+                      if all(p % q for q in range(2, isqrt(p) + 1)))
+
+# the sieve stops once this many primes in a row have left the set of
+# possible factor degrees unchanged (a prime at which f is not squarefree
+# counts as one), so a non-squarefree f cannot keep it running
+SIEVE_PATIENCE = 8
+
+# candidate factors the exact search may try (about 8 us each in CPython)
+# before it gives up with IrreducibilityUndecided
+SEARCH_BUDGET = 200_000
+
+
+def _taylor_shift(f: Sequence[int], c: int) -> list[int]:
+    """Coefficients of f(x + c)."""
+    a = list(f)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
+
+
+def _shifted_eisenstein(f: Poly) -> bool:
+    """True when f(x + c) is Eisenstein at a small prime, for c in 0, 1, -1.
+
+    This proves the 2-power cyclotomic polynomials irreducible (Eisenstein
+    at 2 after x -> x + 1); they split modulo every prime, so the degree
+    sieve can never prove them.
+    """
+    for c in (0, 1, -1):
+        g = _taylor_shift(f, c)
+        content = gcd(*g[:-1])
+        if content in (0, 1):
+            continue
+        for p in _SMALL_PRIMES:
+            if content % p == 0 and g[0] % (p * p):
+                return True
+    return False
+
+
+def _degree_sieve(f: Poly) -> set[int]:
+    """The degrees k <= d/2 a factor of f over Z may have, by patterns mod p.
+
+    Modulo a prime p at which f is squarefree, a factor of f over Z is a
+    product of some of the irreducible factors of f mod p, so its degree is
+    a sum of some of their degrees; distinct-degree factorization gives
+    those degrees without splitting further.  The degrees that are such a
+    sum at every prime tried survive (Musser 1978; Cohen, §3.5), trying
+    primes until none survives or SIEVE_PATIENCE primes in a row changed
+    nothing.  An empty set proves f irreducible; a degree that survives
+    need not occur.
+    """
+    from . import modpoly
+
+    d = len(f) - 1
+    alive = (1 << (d // 2 + 1)) - 2  # bit k set: degree k is still possible
+    stale = 0
+    for p in _SMALL_PRIMES:
+        if not alive or stale >= SIEVE_PATIENCE:
+            break
+        stale += 1
+        fp = modpoly.normalize(f, p)
+        if modpoly.degree(modpoly.gcd(fp, modpoly.derivative(fp, p), p)) > 0:
+            continue
+        sums = 1  # bit s set: s is a sum of some of the factor degrees
+        for g, k in modpoly.distinct_degree(fp, p):
+            for _ in range(modpoly.degree(g) // k):
+                sums |= sums << k
+        if alive & sums != alive:
+            alive &= sums
+            stale = 0
+    return {k for k in range(1, d // 2 + 1) if alive >> k & 1}
+
+
+def _divisor_count(factors: Sequence[tuple[Poly, int]], k: int) -> int:
+    """Number of monic degree-k divisors of prod g^m mod p (g irreducible)."""
+    ways = [1] + [0] * k
+    for g, m in factors:
+        dg = len(g) - 1
+        ways = [sum(ways[s - a * dg] for a in range(m + 1) if a * dg <= s)
+                for s in range(k + 1)]
+    return ways[k]
+
+
+def _monic_divisors(factors: Sequence[tuple[Poly, int]], k: int,
+                    p: int) -> list[Poly]:
+    """The monic degree-k divisors of prod g^m mod p (g irreducible)."""
+    from . import modpoly
+
+    out: list[Poly] = [(1,)]
+    for g, m in factors:
+        nxt = []
+        for h in out:
+            for _ in range(m + 1):
+                if len(h) - 1 > k:
+                    break
+                nxt.append(h)
+                h = modpoly.mul(h, g, p)
+        out = nxt
+    return [h for h in out if len(h) - 1 == k]
+
+
+def _search_factors(f: Poly, degrees: set[int]) -> None:
+    """Raise Reducible if f has a monic factor of a degree in ``degrees``.
+
+    A factor g of degree k reduces mod p to a monic degree-k divisor of
+    f mod p, and its coefficients lie inside the Mignotte bounds.  So g is
+    among the CRT lifts of those divisors at primes whose product exceeds
+    twice the bounds; the primes are taken fewest divisors per bit first.
+    Each lift inside the bounds is tried by exact division, degrees in
+    increasing order.  The reported root r is the least by (|r|, sign of
+    r), and a higher-degree factor the least by (|g_0|, sign of g_0, g_1,
+    ...): what a search over all candidates inside the bounds, in that
+    order, meets first.  More than SEARCH_BUDGET lifts raise
+    IrreducibilityUndecided.
+    """
+    from . import modpoly
+
+    factored: list = []  # f mod the first len(factored) small primes
+    work = 0
+    for k in sorted(degrees):
+        bounds = _factor_bounds(f, k)
+        need = 2 * max(bounds)
+        # primes up to a product of need^2, so there are some to choose from
+        counted, product = [], 1
+        for i, p in enumerate(_SMALL_PRIMES):
+            if product > need * need:
+                break
+            if i == len(factored):
+                factored.append(modpoly.factor(f, p))
+            counted.append((_divisor_count(factored[i], k), p, factored[i]))
+            product *= p
+        counted.sort(
+            key=lambda t: (log(t[0]) / log(t[1]) if t[0] else -1, -t[1]))
+        if counted[0][0] == 0:
+            continue  # no degree-k divisor at some prime
+        modulus, candidates, chosen = 1, 1, []
+        for count, p, fac in counted:
+            if modulus > need:
+                break
+            modulus *= p
+            candidates *= count
+            chosen.append((p, fac))
+        work += candidates
+        if modulus <= need or work > SEARCH_BUDGET:
+            raise IrreducibilityUndecided(
+                f"could not decide whether {poly_str(f)} is irreducible: "
+                f"factors of degree {sorted(degrees)} survive the sieve and "
+                f"the search for one of degree {k} is beyond its budget of "
+                f"{SEARCH_BUDGET} candidates")
+        # g_j = sum of e_p * (g_j mod p), e_p = 1 mod p and 0 mod the others
+        idems = [modulus // p * pow(modulus // p, -1, p) for p, _ in chosen]
+        found = []
+        for combo in itertools.product(
+                *(_monic_divisors(fac, k, p) for p, fac in chosen)):
+            g = [(sum(e * h[j] for e, h in zip(idems, combo))
+                  + modulus // 2) % modulus - modulus // 2 for j in range(k)]
+            if all(abs(c) <= b for c, b in zip(g, bounds)) \
+                    and not poly_divmod_monic(f, g + [1])[1]:
+                found.append(tuple(g) + (1,))
+        if k == 1 and found:
+            root = min((-g[0] for g in found), key=lambda r: (abs(r), r < 0))
+            raise Reducible(f"{poly_str(f)} has root {root}")
+        if found:
+            g = min(found, key=lambda g: (abs(g[0]), g[0] < 0, g[1:]))
+            raise Reducible(f"{poly_str(f)} = ({poly_str(g)}) * (...)")
+
+
 def _check_irreducible(f: Poly) -> None:
     """Raise Reducible if monic f splits over Q (hence over Z, by Gauss).
 
-    Degree 1 is always irreducible.  Otherwise: a vanishing constant term
-    means x | f; any integer root gives a linear factor (rational roots of a
-    monic integer polynomial are integers dividing the constant term); and
-    higher-degree factors are found by exhaustive search over monic integer
-    candidates inside Mignotte coefficient bounds.  Exact and fast at the
-    small degrees this library targets.
+    Degree 1 is always irreducible, and a vanishing constant term means
+    x | f.  Then f is proved irreducible when a shift f(x + c) is
+    Eisenstein, or when the degree sieve rules out every factor degree.
+    The degrees that survive are searched exactly, within SEARCH_BUDGET
+    candidates; past it the search raises IrreducibilityUndecided.
     """
-    d = len(f) - 1
-    if d == 1:
+    if len(f) == 2:
         return
-    c0 = f[0]
-    if c0 == 0:
+    if f[0] == 0:
         raise Reducible(f"x divides {poly_str(f)}")
-    for r in _divisors_up_to(abs(c0), abs(c0)):
-        if poly_eval(f, r) == 0:
-            raise Reducible(f"{poly_str(f)} has root {r}")
-        if poly_eval(f, -r) == 0:
-            raise Reducible(f"{poly_str(f)} has root {-r}")
-    for k in range(2, d // 2 + 1):
-        bounds = _factor_bounds(f, k)
-        const_choices = [t for a in _divisors_up_to(abs(c0), bounds[0])
-                         for t in (a, -a)]
-        mid_ranges = [range(-b, b + 1) for b in bounds[1:]]
-        for a0 in const_choices:
-            for mid in itertools.product(*mid_ranges):
-                g = (a0, *mid, 1)
-                _, rem = poly_divmod_monic(f, g)
-                if not rem:
-                    raise Reducible(
-                        f"{poly_str(f)} = ({poly_str(g)}) * (...)")
+    if _shifted_eisenstein(f):
+        return
+    degrees = _degree_sieve(f)
+    if degrees:
+        _search_factors(f, degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ checked at ring construction proves that no intermediate value can
 overflow, and enumerating a ring beyond it raises RingTooLarge.
 Coefficients are reduced modulo |o/a| between multiplications (|o/a|
 annihilates o/a, so this never changes a residue class), which is what
-keeps the bounds small.
+keeps the bounds small.  The all-units product and the census walk the
+units in chunks of CHUNK, so their temporaries stay a few megabytes
+however large the ring; a ring of at most CHUNK units is one chunk.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ from .primes import FactoredIdeal, PrimeIdealData
 DEFAULT_CAP = 1 << 20
 
 _INT64_SAFE = 1 << 62
+
+# unit_product and order2_census work through the units this many at a
+# time, which bounds their temporaries near the cap
+CHUNK = 1 << 16
 
 
 def ideal_lattice(o: NumberFieldOrder, pd: PrimeIdealData, n: int) -> list[list[int]]:
@@ -213,23 +219,31 @@ class ResidueRing:
     def unit_product(self) -> ResidueElement:
         """Product of all units — the brute-force oracle.
 
-        The product is accumulated pairwise (a balanced tree); coefficients
-        are reduced mod |o/a| after every multiplication and the final
-        vector is reduced to its canonical representative.
+        Each chunk of units is multiplied out as a balanced tree and the
+        chunk products are multiplied the same way; coefficients are reduced
+        mod |o/a| after every multiplication and the final vector is reduced
+        to its canonical representative.
         """
-        col = _np_tree_product(self._units_array().T, self._np_one(),
-                               self._np_red_rows(), self.size,
-                               self.order.degree, self._defer_mod)
+        args = (self._np_one(), self._np_red_rows(), self.size,
+                self.order.degree, self._defer_mod)
+        cols = self._units_array().T
+        parts = [_np_tree_product(cols[:, s:s + CHUNK], *args)
+                 for s in range(0, cols.shape[1], CHUNK)]
+        col = parts[0] if len(parts) == 1 else \
+            _np_tree_product(np.stack(parts, axis=1), *args)
         return self.reduce([int(c) for c in col])
 
     def order2_census(self) -> Census:
         """Count and list the units squaring to 1; d2 = log2 of the count."""
         arr = self._units_array()
-        cols = arr.T
-        sq = _np_mul(cols, cols, self._np_red_rows(), self.size,
-                     self.order.degree, self._defer_mod)
-        red = _np_reduce(sq.T, self.basis, self.size)
-        mask = (red == self._np_one()[None, :]).all(axis=1)
+        one, red_rows = self._np_one(), self._np_red_rows()
+        mask = np.empty(len(arr), dtype=bool)
+        for s in range(0, len(arr), CHUNK):
+            cols = arr[s:s + CHUNK].T
+            sq = _np_mul(cols, cols, red_rows, self.size, self.order.degree,
+                         self._defer_mod)
+            red = _np_reduce(sq.T, self.basis, self.size)
+            mask[s:s + CHUNK] = (red == one[None, :]).all(axis=1)
         sols = [ResidueElement(self, tuple(int(c) for c in row))
                 for row in arr[mask]]
         n_sols = len(sols)

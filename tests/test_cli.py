@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wilsonprod import cli, order
 from wilsonprod.cli import main
 
 
@@ -199,6 +200,36 @@ def test_cyclo_demo_rejects_t1(capsys):
     assert json.loads(out)["error"]["type"] == "parse_error"
 
 
+@pytest.mark.parametrize("t", ["9", "70"])
+def test_cyclo_demo_rejects_large_t(capsys, t):
+    # --t 70 would ask for a polynomial of degree 2^69
+    code, out = run(capsys, "cyclo-demo", "--t", t)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "parse_error", "message": "--t must be at most 8"}
+
+
+def test_undecided_irreducibility_is_json_error(capsys, monkeypatch):
+    monkeypatch.setattr(order, "SEARCH_BUDGET", 0)
+    code, out = run(capsys, "classify", "--poly", "x^4+4", "--ideal", "2^1")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "irreducibility_undecided"
+
+
+def test_unexpected_exception_is_json_error(capsys, monkeypatch):
+    def broken(_):
+        raise ZeroDivisionError("integer division by zero")
+
+    monkeypatch.setattr(cli, "gauss_product", broken)
+    code = cli.main(["gauss", "--max-A", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {
+        "type": "internal_error",
+        "message": "ZeroDivisionError: integer division by zero"}
+    assert "Traceback" in captured.err
+
+
 def test_cyclo_demo_text(capsys):
     code, out = run(capsys, "cyclo-demo", "--t", "2", "--n-max", "4")
     assert code == 0
@@ -207,9 +238,10 @@ def test_cyclo_demo_text(capsys):
 
 @pytest.mark.parametrize("t", ["5", "8"])
 def test_cyclo_demo_high_degree(capsys, t):
-    # x^16+1 and x^128+1: the demo must not run make_order's irreducibility
-    # search, and the unit mask must not need an axis per degree (numpy
-    # arrays have at most 64)
+    # x^16+1 and x^128+1: make_order must prove them irreducible by
+    # Eisenstein at 2 after x -> x+1 (they split mod every prime, so the
+    # degree sieve cannot), and the unit mask must not need an axis per
+    # degree (numpy arrays have at most 64)
     code, doc = run_json(capsys, "cyclo-demo", "--t", t, "--n-max", "4")
     assert code == 0
     assert doc["ok"] is True

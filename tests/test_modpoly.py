@@ -72,6 +72,16 @@ def test_large_field_edf_uses_cz():
     assert (r1 * r1) % p == p - 1 and (r1 + r2) % p == 0
 
 
+def test_cz_splits_where_binomials_cannot():
+    # the 36th cyclotomic polynomial is two sextics mod 7 (7 has order 6
+    # mod 36); no (x + a)^((7^6 - 1) / 2) separates them
+    f = (1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1)
+    factors = modpoly.factor(f, 7)
+    assert [(modpoly.degree(g), m) for g, m in factors] == [(6, 1), (6, 1)]
+    assert modpoly.mul(factors[0][0], factors[1][0], 7) == \
+        modpoly.normalize(f, 7)
+
+
 def test_determinism():
     for _ in range(3):
         assert modpoly.factor((1, 0, 1), 5) == [((2, 1), 1), ((3, 1), 1)]

@@ -7,14 +7,22 @@ explicit enumeration of residue classes in `test_norm_is_lattice_index`.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wilsonprod import lattice
-from wilsonprod.errors import DegreeMismatch, DegreeZero, NotMonic, ParseError, Reducible
-from wilsonprod.order import make_order, parse_poly, poly_str
+from wilsonprod import lattice, order
+from wilsonprod.errors import (
+    DegreeMismatch,
+    DegreeZero,
+    IrreducibilityUndecided,
+    NotMonic,
+    ParseError,
+    Reducible,
+)
+from wilsonprod.order import make_order, parse_poly, poly_mul_z, poly_str
 
 
 class TestParsePoly:
@@ -85,6 +93,46 @@ class TestMakeOrder:
         make_order((1, 0, 0, 0, 1))
         make_order((2, 0, 0, 0, 1))  # x^4+2, Eisenstein at 2
         make_order((1, 1, 1, 1, 1))  # 5th cyclotomic
+
+
+monic_polys = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.integers(-20, 20), min_size=d, max_size=d)
+    .map(lambda cs: tuple(cs) + (1,)))
+
+
+class TestIrreducibility:
+    @given(monic_polys, monic_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_products_are_reducible(self, g, h):
+        f = poly_mul_z(g, h)
+        assert order._degree_sieve(f)
+        with pytest.raises(Reducible):
+            make_order(f)
+
+    @pytest.mark.parametrize(
+        "poly", ["x^6+x+100", "x^6+x+1000", "x^8+x+30", "x^8+x+300"])
+    def test_sieve_is_fast(self, poly):
+        start = time.perf_counter()
+        make_order(poly)
+        assert time.perf_counter() - start < 1.0
+        assert order._degree_sieve(parse_poly(poly)) == set()
+
+    @pytest.mark.parametrize("poly", ["x^8+1", "x^16+1", "x^4+4x+2"])
+    def test_shifted_eisenstein(self, poly):
+        # 2-power cyclotomics split mod every prime: only Eisenstein at 2
+        # after x -> x+1 proves them; x^4+4x+2 is Eisenstein unshifted
+        assert order._shifted_eisenstein(parse_poly(poly))
+        make_order(poly)
+
+    def test_swinnerton_dyer_ends(self):
+        # the minimal polynomial of sqrt2 + sqrt3 + sqrt5: irreducible,
+        # split into factors of degree <= 2 mod every prime, not Eisenstein
+        start = time.perf_counter()
+        try:
+            make_order("x^8-40x^6+352x^4-960x^2+576")
+        except IrreducibilityUndecided:
+            pass
+        assert time.perf_counter() - start < 5.0
 
 
 class TestArithmetic:

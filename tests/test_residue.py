@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from wilsonprod import make_order
+from wilsonprod import make_order, residue
 from wilsonprod.errors import (
     CompositeModulus,
     InvariantViolation,
@@ -350,6 +350,31 @@ def test_python_fallback_agrees(catalog):
         census = ring.order2_census()
         assert census.elements == roots, label
         assert census.d2 == len(roots).bit_length() - 1
+
+
+@pytest.mark.parametrize("poly,label,chunk", [
+    ("x", "3^11", residue.CHUNK),        # 118,098 units: one full chunk and
+                                         # a ragged one
+    ("x^4+1", "2^8; 3^1", 300),          # 1,024 units in four chunks
+    ("x^2+x+1", "2^4; 7^1@1", 1 << 16),  # 1,152 units: one chunk, no
+                                         # combine step
+])
+def test_chunked_enumeration_matches_one_pass(monkeypatch, poly, label,
+                                              chunk):
+    monkeypatch.setattr(residue, "CHUNK", chunk)
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    cols = ring._units_array().T
+    whole = residue._np_tree_product(
+        cols, ring._np_one(), ring._np_red_rows(), ring.size, o.degree,
+        ring._defer_mod)
+    assert ring.unit_product() == ring.reduce([int(c) for c in whole])
+    census = ring.order2_census()
+    monkeypatch.setattr(residue, "CHUNK", 1 << 40)
+    one_pass = build_residue_ring(o, ring.modulus).order2_census()
+    assert (census.count, census.d2) == (one_pass.count, one_pass.d2)
+    assert [x.coeffs for x in census.elements] == \
+        [x.coeffs for x in one_pass.elements]
 
 
 def test_enumeration_beyond_int64_bound_is_refused(catalog):

@@ -258,9 +258,11 @@ def test_witness_independent_of_uniformizer(catalog):
 # -- classifier vs. census on a small sample ------------------------------------
 
 def test_d2_local_matches_census_sample(catalog):
-    # the catalog plus e = 3 (x^3-2), e = f = 2 (x^4-x^2+1) and e = 8 (x^8+1)
+    # the catalog plus e = 3 (x^3-2), e = f = 2 (x^4-x^2+1), e = 8 (x^8+1),
+    # f = 3 (x^3+x+1) and e = 6, f = 6 (x^6+x^3+1)
     orders = list(catalog.values()) + [
-        make_order(poly) for poly in ("x^3-2", "x^4-x^2+1", "x^8+1")]
+        make_order(poly) for poly in ("x^3-2", "x^4-x^2+1", "x^8+1",
+                                      "x^3+x+1", "x^6+x^3+1")]
     for o in orders:
         for p in (2, 3):
             for pd in factor_prime(o, p):
@@ -363,6 +365,13 @@ def test_sweep_field_z_reproduces_gauss(catalog):
     got_minus = summary.class_counts.get("minus_one", 0) + \
         summary.class_counts.get("one_plus_pi", 0)  # A = 4 is the 1+pi case
     assert got_minus == minus
+
+
+@pytest.mark.parametrize("poly", ["x^3+x+1", "x^6+x^3+1"])
+def test_sweep_field_cubic_and_sextic(poly):
+    summary = sweep_field(make_order(poly), 4096)
+    assert summary.ok
+    assert summary.cases > 0 and summary.mismatches == []
 
 
 def test_sweep_field_gaussian_small(catalog):
