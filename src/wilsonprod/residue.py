@@ -13,16 +13,24 @@ checked at ring construction proves that no intermediate value can
 overflow, and enumerating a ring beyond it raises RingTooLarge.
 Coefficients are reduced modulo |o/a| between multiplications (|o/a|
 annihilates o/a, so this never changes a residue class), which is what
-keeps the bounds small.  The all-units product and the census walk the
-units in chunks of CHUNK, so their temporaries stay a few megabytes
-however large the ring; a ring of at most CHUNK units is one chunk.
+keeps the bounds small.
+
+The product and the census share one walk over the units.  It builds a
+flat unit mask of the box (one byte per element, tiled from small per-prime
+tables), then takes the box CHUNK positions at a time: each block's units
+are decoded to coordinates, squared and tested for x^2 = 1 when the census
+is asked for, and folded into a running product of FOLD columns.  A ring
+keeps no unit array: `units`, `principal_units` and the dump build the
+whole array only when they are called, so after a walk nothing the size of
+the ring is left, and its temporaries stay a few megabytes near the cap.
+A box of at most CHUNK positions is one block, multiplied as one tree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,9 +50,12 @@ DEFAULT_CAP = 1 << 20
 
 _INT64_SAFE = 1 << 62
 
-# unit_product and order2_census work through the units this many at a
-# time, which bounds their temporaries near the cap
+# the walk over the units takes the box this many positions at a time,
+# which bounds its temporaries near the cap
 CHUNK = 1 << 16
+# each block's units are multiplied down to this many columns before they
+# are multiplied into the running product
+FOLD = 1 << 10
 
 
 def ideal_lattice(o: NumberFieldOrder, pd: PrimeIdealData, n: int) -> list[list[int]]:
@@ -86,12 +97,14 @@ class Census(NamedTuple):
 
     ``elements`` lists every unit x with x^2 = 1 (the identity included);
     ``count`` is the number of elements of order exactly 2, which is always
-    2^d2 - 1.
+    2^d2 - 1.  ``product`` is the product of all units, taken on the same
+    walk.
     """
 
     count: int
     elements: list
     d2: int
+    product: "ResidueElement"
 
 
 class ResidueRing:
@@ -132,8 +145,9 @@ class ResidueRing:
             rem = rem + (0,) * (d - len(rem))
             self._red_rows.append([(c + half) % n - half for c in rem])
         self._np_ok = self._bounds_allow_int64()
-        self._units_arr: np.ndarray | None = None
-        self._one = self.reduce(o.one)
+        # coefficients, not a ResidueElement: an element refers back to its
+        # ring, and that cycle would leave a dropped ring to the cyclic GC
+        self._one_coeffs = lattice.reduce_mod(basis, o.one.coeffs)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -152,7 +166,7 @@ class ResidueRing:
 
     @property
     def one(self) -> ResidueElement:
-        return self._one
+        return ResidueElement(self, self._one_coeffs)
 
     def reduce(self, x: OrderElement | Sequence[int]) -> ResidueElement:
         coeffs = x.coeffs if isinstance(x, OrderElement) else tuple(x)
@@ -189,69 +203,101 @@ class ResidueRing:
         return [ResidueElement(self, t)
                 for t in itertools.product(*(range(h) for h in self.diag))]
 
-    def _units_array(self) -> np.ndarray:
-        """The units as (count, d) rows, in box order.
+    def _units_array(self) -> Iterator[np.ndarray]:
+        """The units as (d, k) column blocks in box order.
 
-        The rows are a transposed view of a contiguous (d, count) array, the
-        layout the kernels read.  Raises RingTooLarge when the ring is beyond
-        the int64 bound of the kernels.
+        Builds the unit mask of the whole box, then returns a generator that
+        decodes it CHUNK box positions at a time, one block per slice, and
+        checks the count over all blocks against the closed form after the
+        last one.  Every enumeration of the ring goes through here, once a
+        walk.  Raises RingTooLarge when the ring is beyond the int64 bound
+        of the kernels.
         """
-        if self._units_arr is None:
-            if not self._np_ok:
-                raise RingTooLarge(
-                    f"|o/a| = {self.size} is beyond the int64 enumeration "
-                    f"bound (2d+4)*|o/a|^2 < 2^62 at degree {self.order.degree}")
-            self._units_arr = _np_units(
-                self.diag, [(pd.p, rad) for (pd, _), rad in
-                            zip(self.modulus.factors, self.radical_bases)])
-            if len(self._units_arr) != self.unit_count:
-                raise InvariantViolation(
-                    f"{len(self._units_arr)} units enumerated in {self}, "
-                    f"the closed form gives {self.unit_count}")
-        return self._units_arr
+        if not self._np_ok:
+            raise RingTooLarge(
+                f"|o/a| = {self.size} is beyond the int64 enumeration "
+                f"bound (2d+4)*|o/a|^2 < 2^62 at degree {self.order.degree}")
+        mask = _np_unit_mask(
+            self.diag, [(pd.p, rad) for (pd, _), rad in
+                        zip(self.modulus.factors, self.radical_bases)])
+        return self._unit_blocks(mask)
+
+    def _unit_blocks(self, mask: np.ndarray) -> Iterator[np.ndarray]:
+        found = 0
+        for s in range(0, len(mask), CHUNK):
+            idx = np.flatnonzero(mask[s:s + CHUNK])
+            if s:
+                idx += s
+            cols = _np_coords(idx, self.diag)
+            found += cols.shape[1]
+            yield cols
+        if found != self.unit_count:
+            raise InvariantViolation(
+                f"{found} units enumerated in {self}, "
+                f"the closed form gives {self.unit_count}")
+
+    def _unit_rows(self) -> np.ndarray:
+        """Every unit as (count, d) rows in box order, in one array."""
+        return np.concatenate(list(self._units_array()), axis=1).T
 
     def units(self) -> list[ResidueElement]:
         """All units, in enumeration order; length is checked against
         prod p^((m-1)f) (p^f - 1)."""
         return [ResidueElement(self, tuple(row))
-                for row in self._units_array().tolist()]
+                for row in self._unit_rows().tolist()]
 
     def unit_product(self) -> ResidueElement:
-        """Product of all units — the brute-force oracle.
-
-        Each chunk of units is multiplied out as a balanced tree and the
-        chunk products are multiplied the same way; coefficients are reduced
-        mod |o/a| after every multiplication and the final vector is reduced
-        to its canonical representative.
-        """
-        args = (self._np_one(), self._np_red_rows(), self.size,
-                self.order.degree, self._defer_mod)
-        cols = self._units_array().T
-        parts = [_np_tree_product(cols[:, s:s + CHUNK], *args)
-                 for s in range(0, cols.shape[1], CHUNK)]
-        col = parts[0] if len(parts) == 1 else \
-            _np_tree_product(np.stack(parts, axis=1), *args)
-        return self.reduce([int(c) for c in col])
+        """Product of all units — the brute-force oracle."""
+        return self._walk(census=False)[0]
 
     def order2_census(self) -> Census:
-        """Count and list the units squaring to 1; d2 = log2 of the count."""
-        arr = self._units_array()
-        one, red_rows = self._np_one(), self._np_red_rows()
-        mask = np.empty(len(arr), dtype=bool)
-        for s in range(0, len(arr), CHUNK):
-            cols = arr[s:s + CHUNK].T
-            sq = _np_mul(cols, cols, red_rows, self.size, self.order.degree,
-                         self._defer_mod)
-            red = _np_reduce(sq.T, self.basis, self.size)
-            mask[s:s + CHUNK] = (red == one[None, :]).all(axis=1)
-        sols = [ResidueElement(self, tuple(int(c) for c in row))
-                for row in arr[mask]]
+        """Count and list the units squaring to 1; d2 = log2 of the count.
+
+        The product of all units comes with it, from the same walk.
+        """
+        product, roots = self._walk(census=True)
+        sols = [ResidueElement(self, tuple(row)) for row in roots]
         n_sols = len(sols)
         if n_sols & (n_sols - 1):
             raise NotAPowerOfTwo(
                 f"{n_sols} square roots of 1 in a finite abelian unit group")
         return Census(count=n_sols - 1, elements=sols,
-                      d2=n_sols.bit_length() - 1)
+                      d2=n_sols.bit_length() - 1, product=product)
+
+    def _walk(self, census: bool) -> tuple[ResidueElement, list | None]:
+        """One pass over the units: their product, and with ``census`` the
+        units x with x^2 = 1 as coefficient lists in box order.
+
+        A box of one block is multiplied out as one balanced tree.  Else
+        each block is folded in place down to FOLD columns and multiplied
+        into an accumulator of FOLD columns, which is multiplied out as a
+        tree at the end.  Coefficients are reduced mod |o/a| after every
+        multiplication and the product to its canonical representative.
+        """
+        one = self._np_one()
+        args = (self._np_red_rows(), self.size, self.order.degree,
+                self._defer_mod)
+        # columns set to 1 until a block reaches them: a later block can
+        # hold more units than the first
+        acc = np.repeat(one[:, None], FOLD, axis=1) \
+            if self.size > CHUNK else None
+        roots = []
+        for cols in self._units_array():
+            if census:
+                sq = _np_mul(cols, cols, *args)
+                roots.append(cols[:, _np_reduce(sq, self.basis, self.size,
+                                                self._one_coeffs)])
+            if acc is None:
+                col = _np_tree_product(cols, one, *args)
+            else:
+                live = _np_fold(cols, FOLD, *args)
+                acc[:, :live] = _np_mul(acc[:, :live], cols[:, :live], *args)
+        if acc is not None:
+            col = _np_tree_product(acc, one, *args)
+        product = self.reduce([int(c) for c in col])
+        if not census:
+            return product, None
+        return product, np.concatenate(roots, axis=1).T.tolist()
 
     def principal_units(self, j: int) -> list[ResidueElement]:
         """U_j = units congruent to 1 mod P^j, for a prime-power modulus P^n."""
@@ -262,11 +308,11 @@ class ResidueRing:
             raise JOutOfRange(f"j must be in [1, {n}], got {j}")
         pj = ideal_lattice(self.order, pd, j) if j < n else self.basis
         shift = pd.p ** (j * pd.f)
-        arr = self._units_array()
-        one_vec = [1] + [0] * (self.order.degree - 1)
-        shifted = arr - np.array(one_vec, dtype=np.int64)[None, :]
-        return [ResidueElement(self, tuple(int(c) for c in row))
-                for row in arr[_np_in_lattice(shifted, pj, shift)]]
+        rows = self._unit_rows()
+        one_mod_pj = lattice.reduce_mod(pj, self.order.one.coeffs)
+        hits = _np_reduce(rows.T, pj, shift, one_mod_pj)
+        return [ResidueElement(self, tuple(row))
+                for row in rows[hits].tolist()]
 
     def subgroup_product(self, gens: Iterable[ResidueElement]) -> ResidueElement:
         """Product of all elements of the subgroup generated by ``gens``.
@@ -303,7 +349,7 @@ class ResidueRing:
     # -- numpy helpers -------------------------------------------------------
 
     def _np_one(self) -> np.ndarray:
-        return np.array(self._one.coeffs, dtype=np.int64)
+        return np.array(self._one_coeffs, dtype=np.int64)
 
     def _np_red_rows(self) -> np.ndarray:
         d = self.order.degree
@@ -366,10 +412,9 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 # coefficients lie in [0, N); N is the ring size; every basis entry lies in
 # [0, pivot) (checked at ring construction); the lattice shift trick
 # (adding multiples of s*e_i, legal whenever s*Z^d is inside the lattice)
-# keeps every intermediate below the asserted bounds.  _np_mul and
-# _np_tree_product take elements as (d, count) columns, each coefficient
-# one contiguous row; the other kernels take (count, d) rows.  Divisions by
-# powers of two — the common case, every lattice above 2 being
+# keeps every intermediate below the asserted bounds.  The kernels take
+# elements as (d, count) columns, each coefficient one contiguous row.
+# Divisions by powers of two — the common case, every lattice above 2 being
 # 2-power-indexed — are done with shifts and masks.
 # ---------------------------------------------------------------------------
 
@@ -389,64 +434,69 @@ def _np_divmod(x: np.ndarray, m: int):
 
 
 def _np_box(diag: Sequence[int]) -> np.ndarray:
-    """All canonical representatives, last coordinate varying fastest."""
+    """All canonical representatives as (d, size) columns, last coordinate
+    varying fastest."""
     d = len(diag)
     size = 1
     for h in diag:
         size *= h
-    out = np.empty((size, d), dtype=np.int64)
+    out = np.empty((d, size), dtype=np.int64)
     block = size
     for i in range(d):
         block //= diag[i]
         col = np.repeat(np.arange(diag[i], dtype=np.int64), block)
-        out[:, i] = np.tile(col, size // (diag[i] * block))
+        out[i] = np.tile(col, size // (diag[i] * block))
     return out
 
 
-def _np_in_lattice(el: np.ndarray, basis: Sequence[Sequence[int]],
-                   shift: int) -> np.ndarray:
-    """Membership mask; ``shift * Z^d`` must be contained in the lattice."""
-    w = _np_mod(el, shift)
-    d = w.shape[1]
-    ok = np.ones(len(w), dtype=bool)
-    for i in range(d):
-        wi = _np_mod(w[:, i], shift)
-        q, r = _np_divmod(wi, basis[i][i])
-        ok &= r == 0
-        if i + 1 < d:
-            row = np.array(basis[i][i + 1:], dtype=np.int64)
-            if row.any():
-                w[:, i + 1:] -= q[:, None] * row[None, :]
-    return ok
-
-
 def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
-               shift: int) -> np.ndarray:
-    """Canonical box representatives of each row, mod the lattice."""
-    w = vecs.copy(order="K")
-    d = w.shape[1]
+               shift: int, target: Sequence[int]) -> np.ndarray:
+    """Indices, in order, of the columns whose canonical box representative
+    mod the lattice is ``target``.
+
+    The columns of ``vecs`` are reduced one coordinate at a time, as in
+    lattice.reduce_mod, and a column is dropped at the first coordinate
+    whose residue differs from the target's: after the first pivot above 1
+    only its survivors are carried on.  ``shift * Z^d`` must lie in the
+    lattice, so every pivot divides ``shift``, and ``target`` must be a box
+    representative.  A coordinate whose pivot is 1 is never updated (the
+    basis entries above a pivot of 1 are 0), so it still holds its input
+    value.  Bound: with the columns in [0, N), N >= shift, every quotient
+    in [0, N) and every basis entry in [0, pivot), a carried value stays
+    within N + (d-1)*N*shift <= d*N^2 in size, inside the int64 bound
+    (2d+4)*|o/a|^2 < 2^62 for N = |o/a|.  ``vecs`` is not written to.
+    """
+    d, k = vecs.shape
+    rows = vecs  # coordinates i.. of the surviving columns
+    idx = None   # the surviving columns; None while every column survives
     for i in range(d):
-        wi = _np_mod(w[:, i], shift)
-        q, r = _np_divmod(wi, basis[i][i])
-        w[:, i] = r
-        if i + 1 < d:
-            row = np.array(basis[i][i + 1:], dtype=np.int64)
-            if row.any():
-                w[:, i + 1:] -= q[:, None] * row[None, :]
-    return w
+        h = basis[i][i]
+        if h > 1:
+            keep = np.flatnonzero(_np_mod(rows[0], h) == target[i])
+            idx = keep if idx is None else idx[keep]
+            if not len(idx):
+                return idx
+            rows = rows[:, keep]
+        if i + 1 == d:
+            break
+        q = rows[0] if h == 1 else _np_divmod(_np_mod(rows[0], shift), h)[0]
+        rows = rows[1:]
+        tail = np.array(basis[i][i + 1:], dtype=np.int64)
+        if tail.any():
+            rows = rows - q[None, :] * tail[:, None]
+    return np.arange(k) if idx is None else idx
 
 
-def _np_units(diag: Sequence[int],
-              radicals: Sequence[tuple[int, Sequence[Sequence[int]]]]
-              ) -> np.ndarray:
-    """Units of the box prod [0, diag_i), as (count, d) rows in box order.
+def _np_unit_mask(diag: Sequence[int],
+                  radicals: Sequence[tuple[int, Sequence[Sequence[int]]]]
+                  ) -> np.ndarray:
+    """Flat unit mask of the box prod [0, diag_i), in box order.
 
     ``radicals`` holds (p, basis of P) for each prime divisor P of the
     modulus.  Membership in P only depends on the coordinates mod p (p*e_i
     lies in P), so the unit test is tabulated on the small box
     prod [0, min(diag_i, p)) and tiled out to the full box with period p
-    along each axis; no arithmetic runs over the full box.  The rows are a
-    transposed view of a contiguous (d, count) array.
+    along each axis; no arithmetic runs over the full box.
     """
     d = len(diag)
     # the mask keeps only the axes longer than 1: at most log2 |o/a| of
@@ -454,23 +504,27 @@ def _np_units(diag: Sequence[int],
     shape = tuple(h for h in diag if h > 1)
     mask = np.ones(shape, dtype=bool)
     for p, rad in radicals:
-        sub = tuple(min(h, p) for h in diag)
-        m = ~_np_in_lattice(_np_box(sub), rad, p).reshape(
-            tuple(min(h, p) for h in shape))
+        box = _np_box(tuple(min(h, p) for h in diag))
+        m = np.ones(box.shape[1], dtype=bool)
+        m[_np_reduce(box, rad, p, (0,) * d)] = False
+        m = m.reshape(tuple(min(h, p) for h in shape))
         for i, h in enumerate(shape):
             if h > p:
                 m = _np_periodic(m, i, h)
         mask &= m
-    # flat box indices back to coordinates, last coordinate fastest
-    idx = np.flatnonzero(mask)
-    cols = np.zeros((d, len(idx)), dtype=np.int64)
-    for i in range(d - 1, 0, -1):
+    return mask.reshape(-1)
+
+
+def _np_coords(idx: np.ndarray, diag: Sequence[int]) -> np.ndarray:
+    """Flat box indices back to (d, count) coordinate columns, last
+    coordinate fastest (as np.unravel_index, at a third of its cost)."""
+    cols = np.zeros((len(diag), len(idx)), dtype=np.int64)
+    for i in range(len(diag) - 1, 0, -1):
         h = diag[i]
         if h > 1:
-            q, cols[i] = _np_divmod(idx, h)
-            idx = q
+            idx, cols[i] = _np_divmod(idx, h)
     cols[0] = idx
-    return cols.T
+    return cols
 
 
 def _np_periodic(x: np.ndarray, axis: int, h: int) -> np.ndarray:
@@ -524,23 +578,31 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
     return _np_mod(r, n)
 
 
-def _np_tree_product(units: np.ndarray, one_col: np.ndarray,
-                     red_rows: np.ndarray, n: int, d: int,
-                     defer_mod: bool) -> np.ndarray:
-    """Product of the columns of a (d, count) array, as a balanced tree.
+def _np_fold(a: np.ndarray, width: int, red_rows: np.ndarray, n: int,
+             d: int, defer_mod: bool) -> int:
+    """Multiply the columns of a (d, count) array together in place, as a
+    balanced tree, until at most ``width`` are left; returns how many.
 
     Each level multiplies the first half of the live columns by the last
-    half and keeps the products in the first half, so every operand row is
-    a contiguous slice; with an odd count the middle column waits for the
-    next level.
+    half (or as many as bring the count down to ``width``) and keeps the
+    products in the first columns, so every operand row is a contiguous
+    slice; with an odd count the middle column waits for the next level.
     """
-    live = units.shape[1]
-    if live == 0:
-        return one_col
-    a = units.copy(order="C")
-    while live > 1:
-        h = live // 2
+    live = a.shape[1]
+    while live > width:
+        h = min(live // 2, live - width)
         a[:, :h] = _np_mul(a[:, :h], a[:, live - h:live], red_rows, n, d,
                            defer_mod)
         live -= h
+    return live
+
+
+def _np_tree_product(units: np.ndarray, one_col: np.ndarray,
+                     red_rows: np.ndarray, n: int, d: int,
+                     defer_mod: bool) -> np.ndarray:
+    """Product of the columns of a (d, count) array, as a balanced tree."""
+    if units.shape[1] == 0:
+        return one_col
+    a = units.copy(order="C")
+    _np_fold(a, 1, red_rows, n, d, defer_mod)
     return a[:, 0]

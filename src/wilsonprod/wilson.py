@@ -336,8 +336,9 @@ def verify_ideal(o: NumberFieldOrder, a: FactoredIdeal, *,
         ring = build_residue_ring(o, a, cap=cap, lattice_cache=lattice_cache)
     predicted = classify_global(o, a, cap=cap, ring=ring,
                                 lattice_cache=lattice_cache, pi_cache=pi_cache)
-    actual = ring.unit_product()
+    # one walk over the units gives the product, and the census with it
     census = ring.order2_census() if with_census else None
+    actual = census.product if census is not None else ring.unit_product()
     return VerifyResult(a, predicted, actual, census, ring)
 
 

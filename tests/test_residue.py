@@ -2,9 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wilsonprod import make_order, residue
+from wilsonprod import lattice, make_order, residue
 from wilsonprod.errors import (
     CompositeModulus,
     InvariantViolation,
@@ -353,28 +356,106 @@ def test_python_fallback_agrees(catalog):
 
 
 @pytest.mark.parametrize("poly,label,chunk", [
-    ("x", "3^11", residue.CHUNK),        # 118,098 units: one full chunk and
-                                         # a ragged one
-    ("x^4+1", "2^8; 3^1", 300),          # 1,024 units in four chunks
-    ("x^2+x+1", "2^4; 7^1@1", 1 << 16),  # 1,152 units: one chunk, no
-                                         # combine step
+    ("x", "3^11", residue.CHUNK),        # 177,147 positions: two full blocks
+                                         # and a ragged one
+    ("x^4+1", "2^8; 3^1", 300),          # 2,304 positions in eight blocks
+    ("x^2+x+1", "2^4; 7^1@1", 1 << 16),  # 1,792 positions: one block, one
+                                         # tree
 ])
 def test_chunked_enumeration_matches_one_pass(monkeypatch, poly, label,
                                               chunk):
     monkeypatch.setattr(residue, "CHUNK", chunk)
     o = make_order(poly)
     ring = build_residue_ring(o, parse_ideal(o, label))
-    cols = ring._units_array().T
+    cols = ring._unit_rows().T
     whole = residue._np_tree_product(
         cols, ring._np_one(), ring._np_red_rows(), ring.size, o.degree,
         ring._defer_mod)
     assert ring.unit_product() == ring.reduce([int(c) for c in whole])
     census = ring.order2_census()
+    assert census.product == ring.unit_product()
     monkeypatch.setattr(residue, "CHUNK", 1 << 40)
     one_pass = build_residue_ring(o, ring.modulus).order2_census()
     assert (census.count, census.d2) == (one_pass.count, one_pass.d2)
     assert [x.coeffs for x in census.elements] == \
         [x.coeffs for x in one_pass.elements]
+
+
+@pytest.mark.parametrize("poly,label,chunk,fold", [
+    ("x", "2^2; 3^1", 5, 2),         # blocks of 1, 2 and 1 units
+    ("x^2+1", "2^3; 3^1", 7, 2),     # 72 positions in 11 blocks of 1-4
+    ("x^2+1", "2^3; 3^1", 7, 1),     # units, a full tree in each
+    ("x^3-2", "2^2; 5^1", 11, 3),    # blocks of 1 and 7 units, degree 3
+    ("x^2+x+1", "2^2; 7^1@1", 9, 4),  # 112 positions, 13 blocks
+])
+def test_block_boundaries_match_scalar_reference(monkeypatch, poly, label,
+                                                 chunk, fold):
+    # blocks of box positions hold varying numbers of units: the running
+    # product must take in every column of every block, however many the
+    # first block had, and the census must keep box order across blocks
+    monkeypatch.setattr(residue, "CHUNK", chunk)
+    monkeypatch.setattr(residue, "FOLD", fold)
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    counts = [b.shape[1] for b in ring._units_array()]
+    assert counts[0] < max(counts[1:]) and ring.size % chunk, counts
+    units = [x for x in ring.elements() if ring.is_unit(x)]
+    product = ring.one
+    for x in units:
+        product = ring.mul(product, x)
+    roots = [x for x in units if ring.mul(x, x) == ring.one]
+
+    assert ring.unit_product() == product
+    census = ring.order2_census()
+    assert census.product == product
+    assert census.elements == roots
+    assert ring.units() == units
+
+
+@st.composite
+def reduced_lattices(draw):
+    """A reduced HNF basis (entries above each pivot in [0, pivot)), with
+    either leading unit pivots or every pivot above 1."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        lead = draw(st.integers(1, d - 1)) if d > 1 else 0
+        diag = [1] * lead + [draw(st.integers(2, 12))
+                             for _ in range(d - lead)]
+    else:
+        diag = [draw(st.integers(2, 12)) for _ in range(d)]
+    basis = [[0] * d for _ in range(d)]
+    for i in range(d):
+        basis[i][i] = diag[i]
+        for j in range(i + 1, d):
+            basis[i][j] = draw(st.integers(0, diag[j] - 1))
+    return basis
+
+
+@given(reduced_lattices(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_census_kernel_matches_lattice_membership(basis, rnd):
+    # the early-exit test against the scalar one; half the vectors are
+    # the target plus a lattice vector, so some survive every pivot
+    d = len(basis)
+    n = lattice.lattice_det(basis)
+    one = lattice.reduce_mod(basis, [1] + [0] * (d - 1))
+    vecs = []
+    for _ in range(64):
+        if rnd.random() < 0.5:
+            v = list(one)
+            for row in basis:
+                c = rnd.randrange(n)
+                v = [x + c * b for x, b in zip(v, row)]
+            v = [x % n for x in v]
+        else:
+            v = [rnd.randrange(n) for _ in range(d)]
+        vecs.append(v)
+    cols = np.array(vecs, dtype=np.int64).T.copy()
+    got = residue._np_reduce(cols, basis, n, one).tolist()
+    want = [i for i, v in enumerate(vecs)
+            if lattice.contains(basis, [x - t for x, t in zip(v, one)])]
+    assert got == want
+    assert cols.T.tolist() == vecs  # the input is left as it was
 
 
 def test_enumeration_beyond_int64_bound_is_refused(catalog):

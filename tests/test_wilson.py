@@ -1,6 +1,9 @@
 """Closed-form classification vs. hand-worked cases and the enumeration oracle."""
 
+import gc
 import random
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -206,6 +209,32 @@ def test_verify_ideal_reports(catalog):
     assert js["predicted"]["class"] == "one_plus_pi"
     assert js["product"] == [0, 1]
     assert js["census"]["d2"] == 1
+
+
+def test_dropped_ring_is_freed_without_the_cyclic_gc(catalog):
+    o = catalog["zeta8"]
+    gc.disable()
+    try:
+        res = verify_ideal(o, parse_ideal(o, "2^3; 3^1"))
+        ref = weakref.ref(res.ring)
+        del res
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_verify_keeps_nothing_the_size_of_the_ring(catalog):
+    # 531,441 elements and 472,392 units: a unit array alone is 15 MB
+    o = catalog["zeta8"]
+    a = parse_ideal(o, "3^6@1")
+    tracemalloc.start()
+    try:
+        res = verify_ideal(o, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.match and res.ring.unit_count == 472392
+    assert peak < 20 * 2 ** 20, peak
 
 
 def test_wilson_product_json_shape(catalog):
