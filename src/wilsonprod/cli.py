@@ -15,15 +15,16 @@ traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import traceback
 
-from .errors import InvariantViolation, ParseError, WilsonError
+from .errors import DumpTooLarge, InvariantViolation, ParseError, WilsonError
 from .order import NumberFieldOrder, make_order, parse_poly, poly_str
 from .primes import FactoredIdeal, factor_element, factor_prime, parse_ideal
-from .residue import DEFAULT_CAP
+from .residue import DEFAULT_CAP, OrderContext
 from .wilson import (
     ProductClass,
     classify_gauss,
@@ -37,6 +38,8 @@ from .wilson import (
 
 # the largest cyclo-demo --t: degree 2^7 = 128, a few seconds
 CYCLO_T_MAX = 8
+# the largest ring verify --dump lists: about 4 MB of JSON in 0.6 s
+DUMP_CAP = 1 << 16
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: list) -> None:
@@ -85,7 +88,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     a = _load_ideal(o, args)
     res = classify_global(o, a, cap=args.cap)
     doc = dict(res.to_json(), ideal=a.label(), poly=poly_str(o.poly),
-               d2=str(d2_of_ideal(a)))
+               d2=d2_of_ideal(a))
     lines = [
         f"o = {o}, a = {a.label()}",
         f"product of all units: {res.kind.symbol()}  (class {res.kind.value})",
@@ -101,6 +104,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     o = make_order(args.poly)
     a = _load_ideal(o, args)
+    if args.dump and a.absolute_norm > DUMP_CAP:
+        raise DumpTooLarge(f"|o/a| = {a.absolute_norm} is above the dump cap"
+                           f" {DUMP_CAP}")
     res = verify_ideal(o, a, cap=args.cap)
     verdict = "MATCH" if res.match else "MISMATCH"
     doc = dict(res.to_json(), poly=poly_str(o.poly), verdict=verdict)
@@ -194,9 +200,10 @@ def cmd_cyclo_demo(args: argparse.Namespace) -> int:
                 3: ProductClass.ONE_PLUS_PI_SQ}
     rows = []
     ok = True
+    ctx = OrderContext(o)
     for n in range(1, args.n_max + 1):
         res = verify_ideal(o, FactoredIdeal(((pd, n),)), cap=args.cap,
-                           with_census=False)
+                           ctx=ctx, with_census=False)
         want = expected.get(n, ProductClass.ONE)
         good = res.match and res.predicted.kind is want
         ok = ok and good
@@ -223,7 +230,10 @@ def cmd_cyclo_demo(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change
+    it)."""
     parser = argparse.ArgumentParser(
         prog="wilsonprod",
         description="products of all units in residue rings of monogenic"
@@ -257,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal")
     p.add_argument("--gen")
     p.add_argument("--dump", action="store_true",
-                   help="include the full ring dump (elements, units, census)")
+                   help="include the full ring dump (elements, units, census)"
+                        " of a ring of at most %d elements" % DUMP_CAP)
 
     p = sub.add_parser("sweep", help="verify all small ideals of the order")
     p.set_defaults(handler=cmd_sweep)

@@ -86,6 +86,12 @@ class RingTooLarge(WilsonError):
     code = "ring_too_large"
 
 
+class DumpTooLarge(WilsonError):
+    """The ring is too large for ``verify --dump`` to list."""
+
+    code = "dump_too_large"
+
+
 class NotAPowerOfTwo(WilsonError):
     """Internal consistency failure: #(square roots of 1) must be a 2-power."""
 
@@ -100,10 +106,6 @@ class CompositeModulus(WilsonError):
 
 class JOutOfRange(WilsonError):
     code = "j_out_of_range"
-
-
-class NotAUnit(WilsonError):
-    code = "not_a_unit"
 
 
 # --- classification ---

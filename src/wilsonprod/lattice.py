@@ -10,6 +10,7 @@ pass.  Everything is plain Python integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -161,6 +162,29 @@ def lattice_product(
         for eb in elems_b:
             rows.append(list(o.mul(ea, eb).coeffs))
     return rows_hnf(rows, d)
+
+
+def comaximal_product(
+    o: NumberFieldOrder,
+    a_basis: Sequence[Sequence[int]],
+    b_basis: Sequence[Sequence[int]],
+) -> list[list[int]]:
+    """Basis of the product of two comaximal ideals, which is their
+    intersection.
+
+    When the indices N1 and N2 are coprime, L1 ∩ L2 = N2·L1 + N1·L2 (write
+    x = u·N1·x + v·N2·x with u·N1 + v·N2 = 1), so the HNF of the 2d stacked
+    rows gives the basis with no order multiplication (Cohen, A Course in
+    Computational Algebraic Number Theory, §2.4).  The HNF is canonical, so
+    this is the basis lattice_product gives.  Ideals over the same rational
+    prime go through lattice_product.
+    """
+    n1, n2 = lattice_det(a_basis), lattice_det(b_basis)
+    if math.gcd(n1, n2) != 1:
+        return lattice_product(o, a_basis, b_basis)
+    rows = [[n2 * c for c in r] for r in a_basis] + \
+        [[n1 * c for c in r] for r in b_basis]
+    return rows_hnf(rows, o.degree)
 
 
 def ideal_power_lattice(

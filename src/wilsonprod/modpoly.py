@@ -2,11 +2,9 @@
 
 Polynomials are tuples of ints in [0, p), constant term first, trimmed.
 Factorization runs squarefree decomposition, then distinct-degree splitting,
-then equal-degree splitting: Cantor-Zassenhaus with random polynomials
-(seeded by the input) when the residue field is large, and an exhaustive
-search over monic divisors when p^k is small (below 10^4), which keeps the
-common cases free of randomness.  The factor list is returned in a
-canonical sorted order.
+then equal-degree splitting by Cantor-Zassenhaus with random polynomials
+seeded by the input, so repeated calls split the same way.  The factor list
+is returned in a canonical sorted order.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from typing import Sequence
 
 from .errors import InvariantViolation
 from .order import poly_mul_z, poly_trim
-
-EDF_EXHAUSTIVE_LIMIT = 10_000
 
 Poly = tuple
 
@@ -160,31 +156,6 @@ def distinct_degree(g: Poly, p: int) -> list[tuple[Poly, int]]:
     return out
 
 
-def _edf_exhaustive(h: Poly, k: int, p: int) -> list[Poly]:
-    """All irreducible factors of h (each of degree k) by monic divisor search."""
-    out = []
-    # candidates in lexicographic coefficient order => deterministic
-    total = p ** k
-    for idx in range(total):
-        if degree(h) == k:
-            out.append(h)
-            return out
-        cand = []
-        v = idx
-        for _ in range(k):
-            cand.append(v % p)
-            v //= p
-        cand.append(1)
-        q, r = div_mod(h, tuple(cand), p)
-        if not r:
-            out.append(tuple(cand))
-            h = q
-    if degree(h) > 0:
-        raise InvariantViolation(
-            f"exhaustive split left {h} unfactored mod {p}")
-    return out
-
-
 def _edf_random(h: Poly, k: int, p: int, rng: random.Random) -> list[Poly]:
     """Cantor-Zassenhaus equal-degree splitting."""
     if degree(h) == k:
@@ -223,11 +194,7 @@ def factor(f: Poly, p: int) -> list[tuple[Poly, int]]:
     found: dict[Poly, int] = {}
     for part, m in squarefree_parts(f, p):
         for prod, k in distinct_degree(part, p):
-            if p ** k <= EDF_EXHAUSTIVE_LIMIT:
-                irreducibles = _edf_exhaustive(prod, k, p)
-            else:
-                rng = random.Random(f"edf:{p}:{prod}")
-                irreducibles = _edf_random(prod, k, p, rng)
-            for g in irreducibles:
+            rng = random.Random(f"edf:{p}:{prod}")
+            for g in _edf_random(prod, k, p, rng):
                 found[g] = found.get(g, 0) + m
     return sorted(found.items(), key=lambda t: (degree(t[0]), t[0]))

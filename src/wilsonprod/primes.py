@@ -22,6 +22,7 @@ from .errors import (
     NormTooLarge,
     NotPrime,
     ParseError,
+    UniformizerNotFound,
     ZeroElement,
 )
 from .order import NumberFieldOrder, OrderElement, poly_mul_z, poly_str
@@ -193,6 +194,22 @@ def valuation(o: NumberFieldOrder, pd: PrimeIdealData,
             break
         v += 1
     return v
+
+
+def uniformizer(o: NumberFieldOrder, pd: PrimeIdealData) -> OrderElement:
+    """An element of P of valuation exactly 1.
+
+    g(theta) works unless it falls into P^2, which can only happen in the
+    unramified case, where adding p (valuation e = 1) repairs it.
+    """
+    g = o.element_from_poly(pd.gen_poly)
+    if valuation(o, pd, g) == 1:
+        return g
+    shifted = o.add(g, o.from_int(pd.p))
+    if valuation(o, pd, shifted) == 1:
+        return shifted
+    raise UniformizerNotFound(
+        f"no valuation-1 element among g(theta), g(theta)+p at {pd}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,17 @@ keeps no unit array: `units`, `principal_units` and the dump build the
 whole array only when they are called, so after a walk nothing the size of
 the ring is left, and its temporaries stay a few megabytes near the cap.
 A box of at most CHUNK positions is one block, multiplied as one tree.
+
+The rings of one order share an OrderContext: lattice bases, uniformizers,
+fold rows and unit tables are built once per context, not once per ring.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,11 +44,10 @@ from .errors import (
     InvariantViolation,
     JOutOfRange,
     NotAPowerOfTwo,
-    NotAUnit,
     RingTooLarge,
 )
 from .order import NumberFieldOrder, OrderElement, poly_divmod_monic, poly_str
-from .primes import FactoredIdeal, PrimeIdealData
+from .primes import FactoredIdeal, PrimeIdealData, uniformizer
 
 DEFAULT_CAP = 1 << 20
 
@@ -58,18 +61,79 @@ CHUNK = 1 << 16
 FOLD = 1 << 10
 
 
-def ideal_lattice(o: NumberFieldOrder, pd: PrimeIdealData, n: int) -> list[list[int]]:
-    """HNF basis of P^n (index p^(n*f), asserted inside)."""
-    return lattice.ideal_power_lattice(o, pd.p, pd.gen_poly, n)
+class OrderContext:
+    """What the residue rings of one order share, each built once: lattice
+    bases, uniformizers, fold rows and unit tables.
 
+    A context lives for one top-level call (one sweep, one CLI request, one
+    bare verify_ideal or classify_global) and is never stored on the order,
+    so its caches end with that call.  What it hands out is shared and must
+    not be written to.
+    """
 
-def cached_power_basis(o: NumberFieldOrder, pd: PrimeIdealData, n: int,
-                       cache: dict) -> list[list[int]]:
-    """ideal_lattice with memoization; the cache must belong to one order."""
-    key = (pd.p, pd.index, n)
-    if key not in cache:
-        cache[key] = ideal_lattice(o, pd, n)
-    return cache[key]
+    def __init__(self, o: NumberFieldOrder):
+        self.order = o
+        self._bases: dict = {}
+        self._pis: dict = {}
+        self._tables: dict = {}
+
+    def basis(self, factors: tuple) -> list[list[int]]:
+        """HNF basis of prod P^m over ``factors``, (PrimeIdealData, m) pairs.
+
+        A composite basis is the comaximal product of the cached bases of
+        its prefix and of its last factor: sweep_ideals yields every prefix
+        before its extensions.
+        """
+        out = self._bases.get(factors)
+        if out is None:
+            if len(factors) > 1:
+                out = lattice.comaximal_product(self.order,
+                                                self.basis(factors[:-1]),
+                                                self.basis(factors[-1:]))
+            elif factors:
+                (pd, m), = factors
+                out = lattice.ideal_power_lattice(self.order, pd.p,
+                                                  pd.gen_poly, m)
+            else:
+                out = lattice.identity_lattice(self.order.degree)
+            self._bases[factors] = out
+        return out
+
+    def uniformizer(self, pd: PrimeIdealData) -> OrderElement:
+        pi = self._pis.get(pd)
+        if pi is None:
+            pi = self._pis[pd] = uniformizer(self.order, pd)
+        return pi
+
+    @functools.cached_property
+    def fold_rows(self) -> list[tuple]:
+        """The rows x^(d+t) mod f for t < d-1, for polynomial reduction."""
+        d = self.order.degree
+        rows = []
+        for t in range(d - 1):
+            _, rem = poly_divmod_monic((0,) * (d + t) + (1,), self.order.poly)
+            rows.append(rem + (0,) * (d - len(rem)))
+        return rows
+
+    def unit_table(self, pd: PrimeIdealData,
+                   diag: Sequence[int]) -> np.ndarray:
+        """Which classes of the small box prod [0, min(diag_i, p)) lie
+        outside P, over the axes of the box longer than 1.  Membership in
+        P only depends on the coordinates mod p (p*e_i lies in P), so
+        _np_unit_mask tiles this table out to the full box.
+        """
+        small = tuple(min(h, pd.p) for h in diag)
+        key = (pd, small)
+        table = self._tables.get(key)
+        if table is None:
+            box = _np_box(small)
+            table = np.ones(box.shape[1], dtype=bool)
+            table[_np_reduce(box, self.basis(((pd, 1),)), pd.p,
+                             (0,) * len(diag))] = False
+            table = table.reshape(tuple(h for h in small if h > 1))
+            table.flags.writeable = False
+            self._tables[key] = table
+        return table
 
 
 @dataclass(frozen=True)
@@ -81,12 +145,6 @@ class ResidueElement:
 
     def __mul__(self, other: "ResidueElement") -> "ResidueElement":
         return self.ring.mul(self, other)
-
-    def __pow__(self, k: int) -> "ResidueElement":
-        return self.ring.pow(self, k)
-
-    def __neg__(self) -> "ResidueElement":
-        return self.ring.neg(self)
 
     def __str__(self) -> str:
         return poly_str(self.coeffs)
@@ -110,40 +168,36 @@ class Census(NamedTuple):
 class ResidueRing:
     """o/a for a nonzero ideal a of an order o, within the enumeration cap."""
 
-    def __init__(self, o: NumberFieldOrder, modulus: FactoredIdeal,
-                 basis: list[list[int]], factor_bases: list[list[list[int]]],
-                 radical_bases: list[list[list[int]]], cap: int):
+    def __init__(self, context: OrderContext, modulus: FactoredIdeal,
+                 basis: list[list[int]], cap: int):
+        o = context.order
+        # the lattice of each prime divisor P, for the unit test
+        self.radical_bases = [context.basis(((pd, 1),))
+                              for pd, _ in modulus.factors]
         # the box representatives and the int64 bounds below rely on every
         # basis entry lying in [0, pivot)
-        for b in [basis, *radical_bases]:
+        for b in [basis, *self.radical_bases]:
             if not lattice.is_reduced(b):
                 raise InvariantViolation(
                     f"lattice basis {b} of {o}/({modulus.label()}) is not "
                     f"in reduced Hermite normal form")
+        self.context = context
         self.order = o
         self.modulus = modulus
         self.basis = basis
         self.diag = tuple(basis[i][i] for i in range(o.degree))
         self.size = lattice.lattice_det(basis)
         self.cap = cap
-        # per prime-power factor: lattice of P^m, and of the radical P
-        self.factor_bases = factor_bases
-        self.radical_bases = radical_bases
         self.unit_count = 1
         for pd, m in modulus.factors:
             q = pd.p ** pd.f
             self.unit_count *= q ** (m - 1) * (q - 1)
-        # x^(d+t) mod f rows, for vectorized polynomial reduction; only
-        # their residues mod |o/a| are ever used, and symmetric residues keep
-        # the int64 bounds independent of the size of f's coefficients
-        d = o.degree
-        n = self.size
-        half = n // 2
-        self._red_rows = []
-        for t in range(d - 1):
-            _, rem = poly_divmod_monic((0,) * (d + t) + (1,), o.poly)
-            rem = rem + (0,) * (d - len(rem))
-            self._red_rows.append([(c + half) % n - half for c in rem])
+        # only the residues of the fold rows mod |o/a| are ever used, and
+        # symmetric residues keep the int64 bounds independent of the size
+        # of f's coefficients
+        half = self.size // 2
+        self._red_rows = [[(c + half) % self.size - half for c in row]
+                          for row in context.fold_rows]
         self._np_ok = self._bounds_allow_int64()
         # coefficients, not a ResidueElement: an element refers back to its
         # ring, and that cycle would leave a dropped ring to the cyclic GC
@@ -179,19 +233,6 @@ class ResidueRing:
                               self.order.element(y.coeffs))
         return self.reduce(prod)
 
-    def pow(self, x: ResidueElement, k: int) -> ResidueElement:
-        out = self.one
-        base = x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
-    def neg(self, x: ResidueElement) -> ResidueElement:
-        return self.reduce([-c for c in x.coeffs])
-
     def is_unit(self, x: ResidueElement) -> bool:
         return all(not lattice.contains(rad, x.coeffs)
                    for rad in self.radical_bases)
@@ -218,8 +259,8 @@ class ResidueRing:
                 f"|o/a| = {self.size} is beyond the int64 enumeration "
                 f"bound (2d+4)*|o/a|^2 < 2^62 at degree {self.order.degree}")
         mask = _np_unit_mask(
-            self.diag, [(pd.p, rad) for (pd, _), rad in
-                        zip(self.modulus.factors, self.radical_bases)])
+            self.diag, [(pd.p, self.context.unit_table(pd, self.diag))
+                        for pd, _ in self.modulus.factors])
         return self._unit_blocks(mask)
 
     def _unit_blocks(self, mask: np.ndarray) -> Iterator[np.ndarray]:
@@ -306,45 +347,13 @@ class ResidueRing:
         pd, n = self.modulus.factors[0]
         if not 1 <= j <= n:
             raise JOutOfRange(f"j must be in [1, {n}], got {j}")
-        pj = ideal_lattice(self.order, pd, j) if j < n else self.basis
+        pj = self.context.basis(((pd, j),))
         shift = pd.p ** (j * pd.f)
         rows = self._unit_rows()
         one_mod_pj = lattice.reduce_mod(pj, self.order.one.coeffs)
         hits = _np_reduce(rows.T, pj, shift, one_mod_pj)
         return [ResidueElement(self, tuple(row))
                 for row in rows[hits].tolist()]
-
-    def subgroup_product(self, gens: Iterable[ResidueElement]) -> ResidueElement:
-        """Product of all elements of the subgroup generated by ``gens``.
-
-        The subgroup is materialized by closure under multiplication (no
-        inverses needed in a finite group).
-        """
-        gens = list(gens)
-        for g in gens:
-            if not self.is_unit(g):
-                raise NotAUnit(f"{g.coeffs} is not a unit")
-        seen = {self.one.coeffs}
-        frontier = [self.one]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y.coeffs not in seen:
-                        seen.add(y.coeffs)
-                        nxt.append(y)
-            frontier = nxt
-        out = self.one
-        for coeffs in sorted(seen):
-            out = self.mul(out, ResidueElement(self, coeffs))
-        return out
-
-    def component_rings(self) -> list["ResidueRing"]:
-        """One ring per prime-power factor (the CRT decomposition)."""
-        return [build_residue_ring(self.order, FactoredIdeal(((pd, m),)),
-                                   cap=self.cap)
-                for pd, m in self.modulus.factors]
 
     # -- numpy helpers -------------------------------------------------------
 
@@ -379,32 +388,28 @@ class ResidueRing:
 
 def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
                        cap: int = DEFAULT_CAP,
-                       lattice_cache: dict | None = None) -> ResidueRing:
+                       ctx: OrderContext | None = None) -> ResidueRing:
     """Construct o/a, refusing when |o/a| would exceed ``cap``.
 
-    The composite lattice is the product of the per-factor lattices (equal
-    to the intersection, the factors being pairwise comaximal); its
-    determinant is checked against the ideal norm.  ``lattice_cache`` lets
-    sweeps share P^n bases across many ideals of the same order.
+    The lattice of a is the product of its prime-power lattices (equal to
+    the intersection, the factors being pairwise comaximal), from ``ctx``,
+    which shares bases and tables among the rings of one order; without
+    one, a fresh context is made.  The determinant is checked against the
+    ideal norm.
     """
     norm = a.absolute_norm
     if norm > cap:
         raise RingTooLarge(f"|o/a| = {norm} exceeds the cap {cap}")
-    d = o.degree
-    cache = lattice_cache if lattice_cache is not None else {}
-    factor_bases = [cached_power_basis(o, pd, m, cache) for pd, m in a.factors]
-    radical_bases = [cached_power_basis(o, pd, 1, cache) for pd, _ in a.factors]
-    if not a.factors:
-        basis = lattice.identity_lattice(d)
-    else:
-        basis = factor_bases[0]
-        for nxt in factor_bases[1:]:
-            basis = lattice.lattice_product(o, basis, nxt)
+    if ctx is None:
+        ctx = OrderContext(o)
+    elif ctx.order != o:
+        raise InvariantViolation(f"a context of {ctx.order} used for {o}")
+    basis = ctx.basis(tuple(a.factors))
     if lattice.lattice_det(basis) != norm:
         raise InvariantViolation(
             f"lattice index {lattice.lattice_det(basis)} of {o}/({a.label()}) "
             f"differs from the ideal norm {norm}")
-    return ResidueRing(o, a, basis, factor_bases, radical_bases, cap)
+    return ResidueRing(ctx, a, basis, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -488,26 +493,19 @@ def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
 
 
 def _np_unit_mask(diag: Sequence[int],
-                  radicals: Sequence[tuple[int, Sequence[Sequence[int]]]]
-                  ) -> np.ndarray:
+                  tables: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
     """Flat unit mask of the box prod [0, diag_i), in box order.
 
-    ``radicals`` holds (p, basis of P) for each prime divisor P of the
-    modulus.  Membership in P only depends on the coordinates mod p (p*e_i
-    lies in P), so the unit test is tabulated on the small box
-    prod [0, min(diag_i, p)) and tiled out to the full box with period p
-    along each axis; no arithmetic runs over the full box.
+    ``tables`` holds (p, OrderContext.unit_table) for each prime divisor P
+    of the modulus, the unit test of P on the small box
+    prod [0, min(diag_i, p)).  Each table is tiled out to the full box with
+    period p along each axis; no arithmetic runs over the full box.
     """
-    d = len(diag)
     # the mask keeps only the axes longer than 1: at most log2 |o/a| of
     # them, within numpy's 64 dimensions at any degree
     shape = tuple(h for h in diag if h > 1)
     mask = np.ones(shape, dtype=bool)
-    for p, rad in radicals:
-        box = _np_box(tuple(min(h, p) for h in diag))
-        m = np.ones(box.shape[1], dtype=bool)
-        m[_np_reduce(box, rad, p, (0,) * d)] = False
-        m = m.reshape(tuple(min(h, p) for h in shape))
+    for p, m in tables:
         for i, h in enumerate(shape):
             if h > p:
                 m = _np_periodic(m, i, h)

@@ -13,7 +13,6 @@ moduli), and provides the classical rules for Z as an independent code path.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -21,16 +20,18 @@ from enum import Enum
 from typing import Iterator
 
 from . import lattice
-from .errors import InvariantViolation, NotUniqueTorsion, UniformizerNotFound
+from .errors import InvariantViolation, NotUniqueTorsion
 from .order import NumberFieldOrder, OrderElement
-from .primes import FactoredIdeal, PrimeIdealData, factor_prime, valuation
+# uniformizer lives in primes, next to valuation, and is part of this
+# module's interface as well
+from .primes import FactoredIdeal, PrimeIdealData, factor_prime, uniformizer
 from .residue import (
     DEFAULT_CAP,
     Census,
+    OrderContext,
     ResidueElement,
     ResidueRing,
     build_residue_ring,
-    cached_power_basis,
 )
 
 
@@ -85,15 +86,6 @@ def group_sum(spec: AbelianGroupSpec) -> tuple:
     return tuple(out)
 
 
-def group_sum_enumerated(spec: AbelianGroupSpec) -> tuple:
-    """Brute-force sum over every element; the oracle for group_sum."""
-    totals = [0] * len(spec.cyclic_orders)
-    for el in itertools.product(*(range(n) for n in spec.cyclic_orders)):
-        for i, c in enumerate(el):
-            totals[i] += c
-    return tuple(t % n for t, n in zip(totals, spec.cyclic_orders))
-
-
 # ---------------------------------------------------------------------------
 # Local rules at one prime power P^n.
 # ---------------------------------------------------------------------------
@@ -135,22 +127,6 @@ def order2_local(p: int, e: int, f: int, n: int) -> ProductClass:
     return ProductClass.ONE_PLUS_PI_SQ  # n = 3, f = 1, e > 1
 
 
-def uniformizer(o: NumberFieldOrder, pd: PrimeIdealData) -> OrderElement:
-    """An element of P of valuation exactly 1.
-
-    g(theta) works unless it falls into P^2, which can only happen in the
-    unramified case, where adding p (valuation e = 1) repairs it.
-    """
-    g = o.element_from_poly(pd.gen_poly)
-    if valuation(o, pd, g) == 1:
-        return g
-    shifted = o.add(g, o.from_int(pd.p))
-    if valuation(o, pd, shifted) == 1:
-        return shifted
-    raise UniformizerNotFound(
-        f"no valuation-1 element among g(theta), g(theta)+p at {pd}")
-
-
 # ---------------------------------------------------------------------------
 # Global classification.
 # ---------------------------------------------------------------------------
@@ -184,7 +160,7 @@ def _contributing_factor(a: FactoredIdeal):
 
 def witness_element(o: NumberFieldOrder, a: FactoredIdeal,
                     kind: ProductClass, prime: PrimeIdealData | None,
-                    ring: ResidueRing, *, lattice_cache: dict | None = None,
+                    ring: ResidueRing, *,
                     pi: OrderElement | None = None) -> ResidueElement:
     """Evaluate the symbolic answer to a residue class of o/a.
 
@@ -192,7 +168,8 @@ def witness_element(o: NumberFieldOrder, a: FactoredIdeal,
     prime power, so the global representative must be congruent to 1+pi^j
     there and to 1 at every other factor; a lattice congruence solve
     produces that representative.  (Taking 1+pi globally is wrong whenever
-    pi is a unit at one of the other factors.)
+    pi is a unit at one of the other factors.)  Bases and the default
+    uniformizer come from the ring's context.
     """
     if kind is ProductClass.ONE:
         return ring.one
@@ -202,52 +179,40 @@ def witness_element(o: NumberFieldOrder, a: FactoredIdeal,
         return ring.reduce([-1] + [0] * (o.degree - 1))
     pd = prime
     m = next(m for q, m in a.factors if q == pd)
+    ctx = ring.context
     if pi is None:
-        pi = uniformizer(o, pd)
+        pi = ctx.uniformizer(pd)
     loc = pi if kind is ProductClass.ONE_PLUS_PI else o.mul(pi, pi)
     if len(a.factors) == 1:
         return ring.reduce(o.add(o.one, loc))
-    cache = lattice_cache if lattice_cache is not None else {}
-    rest = None
-    for q, mq in a.factors:
-        if q == pd:
-            continue
-        basis = cached_power_basis(o, q, mq, cache)
-        rest = basis if rest is None else lattice.lattice_product(o, rest, basis)
-    pm = cached_power_basis(o, pd, m, cache)
+    rest = ctx.basis(tuple((q, mq) for q, mq in a.factors if q != pd))
+    pm = ctx.basis(((pd, m),))
     t = lattice.solve_comaximal(rest, pm, loc.coeffs)
     return ring.reduce(o.add(o.one, o.element(t)))
 
 
 def classify_global(o: NumberFieldOrder, a: FactoredIdeal, *,
                     cap: int = DEFAULT_CAP, ring: ResidueRing | None = None,
-                    lattice_cache: dict | None = None,
-                    pi_cache: dict | None = None) -> WilsonProduct:
+                    ctx: OrderContext | None = None) -> WilsonProduct:
     """Closed-form product of all units of o/a, with an evaluated witness.
 
     Pure arithmetic on the factor invariants decides the class; the witness
     residue class is evaluated whenever |o/a| fits under ``cap`` (a provided
-    ``ring`` is trusted and used directly).
+    ``ring`` is trusted and used directly; else the ring is built in
+    ``ctx``, or in a fresh context).
     """
     kind = ProductClass.ONE
     prime = None
-    pi = None
     if d2_of_ideal(a) == 1:
         pd, m = _contributing_factor(a)
         kind = order2_local(pd.p, pd.e, pd.f, m)
         if kind is not ProductClass.MINUS_ONE:
             prime = pd
-            if pi_cache is not None:
-                key = (pd.p, pd.index)
-                if key not in pi_cache:
-                    pi_cache[key] = uniformizer(o, pd)
-                pi = pi_cache[key]
     if ring is None:
         if a.absolute_norm > cap:
             return WilsonProduct(kind, prime, None)
-        ring = build_residue_ring(o, a, cap=cap, lattice_cache=lattice_cache)
-    witness = witness_element(o, a, kind, prime, ring,
-                              lattice_cache=lattice_cache, pi=pi)
+        ring = build_residue_ring(o, a, cap=cap, ctx=ctx)
+    witness = witness_element(o, a, kind, prime, ring)
     return WilsonProduct(kind, prime, witness)
 
 
@@ -328,14 +293,13 @@ class VerifyResult:
 
 def verify_ideal(o: NumberFieldOrder, a: FactoredIdeal, *,
                  cap: int = DEFAULT_CAP, ring: ResidueRing | None = None,
-                 lattice_cache: dict | None = None,
-                 pi_cache: dict | None = None,
+                 ctx: OrderContext | None = None,
                  with_census: bool = True) -> VerifyResult:
-    """Compare the classified product against honest enumeration."""
+    """Compare the classified product against honest enumeration; the ring
+    is built in ``ctx`` (or a fresh context) unless one is given."""
     if ring is None:
-        ring = build_residue_ring(o, a, cap=cap, lattice_cache=lattice_cache)
-    predicted = classify_global(o, a, cap=cap, ring=ring,
-                                lattice_cache=lattice_cache, pi_cache=pi_cache)
+        ring = build_residue_ring(o, a, cap=cap, ctx=ctx)
+    predicted = classify_global(o, a, cap=cap, ring=ring)
     # one walk over the units gives the product, and the census with it
     census = ring.order2_census() if with_census else None
     actual = census.product if census is not None else ring.unit_product()
@@ -396,16 +360,15 @@ def sweep_field(o: NumberFieldOrder, max_norm: int, *,
                 prime_bound: int = 13, exp_cap: int = 8,
                 cap: int = DEFAULT_CAP) -> SweepSummary:
     """Verify every sweep ideal of the order; collect mismatches with their
-    censuses (the main regression instrument of the package)."""
-    lattice_cache: dict = {}
-    pi_cache: dict = {}
+    censuses (the main regression instrument of the package).  The rings
+    share one context, which ends with the sweep."""
+    ctx = OrderContext(o)
     counts: Counter = Counter()
     mismatches = []
     cases = matches = 0
     for a in sweep_ideals(o, min(max_norm, cap),
                           prime_bound=prime_bound, exp_cap=exp_cap):
-        res = verify_ideal(o, a, cap=cap, lattice_cache=lattice_cache,
-                           pi_cache=pi_cache, with_census=False)
+        res = verify_ideal(o, a, cap=cap, ctx=ctx, with_census=False)
         cases += 1
         counts[res.predicted.kind.value] += 1
         if res.match:

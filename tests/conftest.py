@@ -1,4 +1,7 @@
-"""Shared fixtures: the catalog of orders exercised throughout the suite."""
+"""Shared fixtures: the catalog of orders exercised throughout the suite,
+and the brute-force oracle of wilson.group_sum."""
+
+import itertools
 
 import pytest
 
@@ -29,3 +32,13 @@ def catalog():
 @pytest.fixture(scope="session")
 def zi(catalog):
     return catalog["gaussian"]
+
+
+def group_sum_enumerated(spec):
+    """Brute-force sum over every element of the group; the oracle for
+    group_sum."""
+    totals = [0] * len(spec.cyclic_orders)
+    for el in itertools.product(*(range(n) for n in spec.cyclic_orders)):
+        for i, c in enumerate(el):
+            totals[i] += c
+    return tuple(t % n for t, n in zip(totals, spec.cyclic_orders))

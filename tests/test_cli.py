@@ -64,6 +64,7 @@ def test_classify_json(capsys):
     assert doc["witness"] == [0, 1]
     assert doc["prime"]["prime"] == 2
     assert doc["ideal"] == "2^2"
+    assert doc["d2"] == 1
 
 
 def test_classify_beyond_cap(capsys):
@@ -113,6 +114,23 @@ def test_verify_dump(capsys):
     assert ring["units"] == [[1], [3]]
     assert ring["census"]["d2"] == 1
     assert ring["elements"] == [[0], [1], [2], [3]]
+
+
+def test_verify_dump_cap(capsys, monkeypatch):
+    # refused before any enumeration, in both output modes
+    code, out = run(capsys, "verify", "--poly", "x^2+1", "--ideal", "2^17",
+                    "--dump")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "dump_too_large",
+        "message": "|o/a| = 131072 is above the dump cap 65536"}
+    monkeypatch.setattr(cli, "DUMP_CAP", 8)
+    code, doc = run_json(capsys, "verify", "--poly", "x", "--ideal", "2^3",
+                         "--dump")
+    assert code == 0 and doc["ring"]["size"] == 8
+    code, doc = run_json(capsys, "verify", "--poly", "x", "--ideal", "3^2",
+                         "--dump")
+    assert code == 2 and doc["error"]["type"] == "dump_too_large"
 
 
 def test_verify_ring_too_large(capsys):
@@ -247,3 +265,25 @@ def test_cyclo_demo_high_degree(capsys, t):
     assert doc["ok"] is True
     assert [r["class"] for r in doc["rows"]] == \
         ["one", "one_plus_pi", "one_plus_pi_sq", "one"]
+
+
+def test_one_parser_serves_interleaved_requests(capsys, monkeypatch):
+    # the parser is built once per process; requests of different
+    # subcommands through it answer as through a fresh parser each
+    requests = [
+        ("classify", "--poly", "x^2+1", "--ideal", "2^2", "--output", "json"),
+        ("factor", "--poly", "x^4+1", "--prime", "17"),
+        ("verify", "--poly", "x^2-2", "--ideal", "2^3"),
+        ("gauss", "--max-A", "12", "--output", "json"),
+        ("classify", "--poly", "x^4+1", "--gen", "x+3"),
+        ("verify", "--poly", "x", "--ideal", "2^21"),
+        ("factor", "--poly", "x^2+1", "--prime", "5", "--output", "json"),
+        ("sweep", "--poly", "x^2+x+1", "--max-norm", "50"),
+        ("cyclo-demo", "--t", "2", "--n-max", "3"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in requests]
+    shared = [run(capsys, *argv) for argv in requests + requests[::-1]]
+    assert shared == fresh + fresh[::-1]

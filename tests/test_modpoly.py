@@ -60,7 +60,7 @@ def test_pth_power_squarefree_branch():
 
 
 def test_large_field_edf_uses_cz():
-    # p^k above the exhaustive limit: x^2+1 splits mod 100003 (100003 % 4 = 3 -> inert)
+    # x^2+1 is inert mod 100003 (100003 % 4 = 3)
     p = 100003
     assert modpoly.factor((1, 0, 1), p) == [((1, 0, 1), 1)]
     # 100019 % 4 = 3 as well; pick a split prime: 100049 % 4 = 1

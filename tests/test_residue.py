@@ -1,5 +1,6 @@
 """Residue rings and their unit groups, checked against hand-worked cases."""
 
+import functools
 import random
 
 import numpy as np
@@ -12,7 +13,6 @@ from wilsonprod.errors import (
     CompositeModulus,
     InvariantViolation,
     JOutOfRange,
-    NotAUnit,
     RingTooLarge,
 )
 from wilsonprod.primes import (
@@ -21,8 +21,8 @@ from wilsonprod.primes import (
     factor_prime,
     parse_ideal,
 )
-from wilsonprod.residue import ResidueRing, build_residue_ring
-from wilsonprod.wilson import ProductClass, classify_global
+from wilsonprod.residue import OrderContext, ResidueRing, build_residue_ring
+from wilsonprod.wilson import ProductClass, classify_global, sweep_ideals
 
 from conftest import CATALOG_POLYS
 
@@ -103,8 +103,58 @@ def test_unreduced_basis_is_refused(catalog):
     good = build_residue_ring(o, a)
     assert good.basis == [[2, 2], [0, 4]]
     with pytest.raises(InvariantViolation):
-        ResidueRing(o, a, [[2, -2], [0, 4]], good.factor_bases,
-                    good.radical_bases, good.cap)
+        ResidueRing(good.context, a, [[2, -2], [0, 4]], good.cap)
+
+
+# -- the shared context and the comaximal product ------------------------------
+
+JOIN_ORDERS = {poly: make_order(poly) for poly in ("x^2+1", "x^3-2", "x^4+1")}
+
+
+@given(st.sampled_from(sorted(JOIN_ORDERS)),
+       st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=2,
+                max_size=2, unique=True),
+       st.integers(0, 3), st.integers(0, 3),
+       st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_comaximal_product_matches_lattice_product(poly, primes, i, j, m, n):
+    # coprime norms: the stacked HNF of N2*L1 and N1*L2 is the product basis
+    o = JOIN_ORDERS[poly]
+    (p, q) = primes
+    pds, qds = factor_prime(o, p), factor_prime(o, q)
+    pd, qd = pds[i % len(pds)], qds[j % len(qds)]
+    l1 = lattice.ideal_power_lattice(o, pd.p, pd.gen_poly, m)
+    l2 = lattice.ideal_power_lattice(o, qd.p, qd.gen_poly, n)
+    assert lattice.comaximal_product(o, l1, l2) == \
+        lattice.lattice_product(o, l1, l2)
+
+
+@pytest.mark.parametrize("poly", ["x^4+1", "x^3-2"])
+def test_shared_context_matches_fresh_rings(poly):
+    # prefix-built bases from one context against fresh contexts and the
+    # factor-by-factor lattice product
+    o = make_order(poly)
+    shared = OrderContext(o)
+    composites = 0
+    for a in sweep_ideals(o, 4096):
+        ring = build_residue_ring(o, a, ctx=shared)
+        fresh = build_residue_ring(o, a)
+        reference = functools.reduce(
+            lambda x, y: lattice.lattice_product(o, x, y),
+            [lattice.ideal_power_lattice(o, pd.p, pd.gen_poly, m)
+             for pd, m in a.factors])
+        assert ring.basis == fresh.basis == reference, a.label()
+        assert ring.diag == fresh.diag
+        assert ring.unit_product().coeffs == fresh.unit_product().coeffs
+        composites += len(a.factors) > 1
+    assert composites > 50
+
+
+def test_context_of_another_order_is_refused(catalog):
+    ctx = OrderContext(catalog["gaussian"])
+    o = catalog["sqrt2"]
+    with pytest.raises(InvariantViolation):
+        build_residue_ring(o, parse_ideal(o, "2^2"), ctx=ctx)
 
 
 # -- units and products: frozen small cases ----------------------------------
@@ -184,8 +234,7 @@ def test_scalar_ops(catalog):
     ring = prime_power_ring(catalog["gaussian"], 2, 3)
     i = ring.reduce([0, 1])
     assert (i * i).coeffs == ring.reduce([-1, 0]).coeffs
-    assert (i ** 4) == ring.one
-    assert (-ring.one).coeffs == ring.reduce([-1, 0]).coeffs
+    assert (i * i) * (i * i) == ring.one
     assert ring.is_unit(i)
     assert not ring.is_unit(ring.reduce([1, 1]))  # 1+i generates P
 
@@ -226,32 +275,6 @@ def test_principal_units_ramified(catalog):
     assert len(ring.principal_units(1)) == ring.unit_count
     assert sorted(u.coeffs for u in ring.principal_units(2)) == \
         [(1, 0), (1, 2)]
-
-
-# -- subgroup products -------------------------------------------------------
-
-def test_subgroup_product_cyclic(catalog):
-    ring = ring_mod_int(catalog["rational"], 7)
-    two = ring.reduce([2])
-    # <2> = {1, 2, 4}, product 8 = 1
-    assert ring.subgroup_product([two]) == ring.one
-
-
-def test_subgroup_product_full_group(catalog):
-    for name in ("rational", "gaussian", "sqrt2"):
-        ring = prime_power_ring(catalog[name], 2, 3)
-        assert ring.subgroup_product(ring.units()) == ring.unit_product()
-
-
-def test_subgroup_product_rejects_nonunit(catalog):
-    ring = ring_mod_int(catalog["rational"], 8)
-    with pytest.raises(NotAUnit):
-        ring.subgroup_product([ring.reduce([2])])
-
-
-def test_subgroup_product_empty(catalog):
-    ring = ring_mod_int(catalog["rational"], 8)
-    assert ring.subgroup_product([]) == ring.one
 
 
 # -- the structural law the whole package is about ---------------------------
@@ -295,7 +318,8 @@ def test_census_d2_adds_over_crt_factors(catalog):
         o = catalog[name]
         a = parse_ideal(o, "2^2; 3^1")
         ring = build_residue_ring(o, a)
-        parts = ring.component_rings()
+        parts = [build_residue_ring(o, FactoredIdeal((f,)))
+                 for f in a.factors]
         assert ring.order2_census().d2 == \
             sum(part.order2_census().d2 for part in parts)
         assert ring.size == 1 * \
@@ -323,7 +347,10 @@ def test_unit_group_orders_multiply(catalog):
         ring = prime_power_ring(o, 2, 2)
         for _ in range(10):
             u = ring.units()[rng.randrange(ring.unit_count)]
-            assert ring.pow(u, ring.unit_count) == ring.one
+            power = ring.one
+            for _ in range(ring.unit_count):
+                power = power * u
+            assert power == ring.one
 
 
 # -- int64 kernels vs. the scalar ring API -----------------------------------

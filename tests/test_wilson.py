@@ -17,7 +17,7 @@ from wilsonprod.primes import (
     parse_ideal,
     valuation,
 )
-from wilsonprod.residue import build_residue_ring
+from wilsonprod.residue import OrderContext, build_residue_ring
 from wilsonprod.wilson import (
     AbelianGroupSpec,
     ProductClass,
@@ -27,7 +27,6 @@ from wilsonprod.wilson import (
     d2_of_ideal,
     gauss_product,
     group_sum,
-    group_sum_enumerated,
     order2_local,
     sweep_field,
     sweep_ideals,
@@ -35,6 +34,8 @@ from wilsonprod.wilson import (
     verify_ideal,
     witness_element,
 )
+
+from conftest import group_sum_enumerated
 
 
 # -- abstract abelian groups ---------------------------------------------------
@@ -401,6 +402,19 @@ def test_sweep_field_cubic_and_sextic(poly):
     summary = sweep_field(make_order(poly), 4096)
     assert summary.ok
     assert summary.cases > 0 and summary.mismatches == []
+
+
+def test_sweep_field_leaves_no_cache_behind():
+    # the sweep's context ends with the sweep: nothing is stored on the
+    # order, and no context outlives the call
+    def live_contexts():
+        gc.collect()
+        return sum(isinstance(x, OrderContext) for x in gc.get_objects())
+
+    o = make_order("x^4+1")
+    before = dict(vars(o)), live_contexts()
+    assert sweep_field(o, 1024).ok
+    assert (dict(vars(o)), live_contexts()) == before
 
 
 def test_sweep_field_gaussian_small(catalog):
