@@ -21,7 +21,13 @@ import os
 import sys
 import traceback
 
-from .errors import DumpTooLarge, InvariantViolation, ParseError, WilsonError
+from .errors import (
+    DumpTooLarge,
+    InvariantViolation,
+    ParseError,
+    WilsonError,
+    magnitude,
+)
 from .order import NumberFieldOrder, make_order, parse_poly, poly_str
 from .primes import FactoredIdeal, factor_element, factor_prime, parse_ideal
 from .residue import DEFAULT_CAP, OrderContext
@@ -40,6 +46,9 @@ from .wilson import (
 CYCLO_T_MAX = 8
 # the largest ring verify --dump lists: about 4 MB of JSON in 0.6 s
 DUMP_CAP = 1 << 16
+# the largest gauss --max-A: the brute force is quadratic in it, and takes
+# about 0.5 s at the cap
+GAUSS_MAX_A = 2000
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: list) -> None:
@@ -105,8 +114,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     o = make_order(args.poly)
     a = _load_ideal(o, args)
     if args.dump and a.absolute_norm > DUMP_CAP:
-        raise DumpTooLarge(f"|o/a| = {a.absolute_norm} is above the dump cap"
-                           f" {DUMP_CAP}")
+        raise DumpTooLarge(f"|o/a| = {magnitude(a.absolute_norm)} is above"
+                           f" the dump cap {DUMP_CAP}")
     res = verify_ideal(o, a, cap=args.cap)
     verdict = "MATCH" if res.match else "MISMATCH"
     doc = dict(res.to_json(), poly=poly_str(o.poly), verdict=verdict)
@@ -154,6 +163,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_gauss(args: argparse.Namespace) -> int:
     _check_nonnegative(args.max_a, "max-a")
+    if args.max_a > GAUSS_MAX_A:
+        raise ParseError(f"--max-A must be at most {GAUSS_MAX_A}")
     minus = []
     disagreements = []
     for a_mod in range(2, args.max_a + 1):
@@ -278,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gauss", help="classical table over Z")
     p.set_defaults(handler=cmd_gauss)
     common(p, poly=False)
-    p.add_argument("--max-A", dest="max_a", type=int, required=True)
+    p.add_argument("--max-A", dest="max_a", type=int, required=True,
+                   help="largest modulus (at most %d)" % GAUSS_MAX_A)
 
     p = sub.add_parser("cyclo-demo",
                        help="2-power cyclotomic pattern 1, 1+pi, 1+pi^2, 1...")

@@ -6,6 +6,11 @@ type without parsing prose.
 """
 
 
+def magnitude(n: int) -> str:
+    """``n`` for a message, by its bit count when it is too long to print."""
+    return str(n) if n < 1 << 256 else f"a number of {n.bit_length()} bits"
+
+
 class WilsonError(Exception):
     """Base class for all errors raised by this package."""
 

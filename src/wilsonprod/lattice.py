@@ -144,10 +144,6 @@ def reduce_mod(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple:
     return tuple(v)
 
 
-def identity_lattice(d: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-
 def lattice_product(
     o: NumberFieldOrder,
     a_basis: Sequence[Sequence[int]],

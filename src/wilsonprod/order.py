@@ -88,18 +88,28 @@ _TERM_RE = re.compile(
 )
 
 
+# the highest degree parse_poly accepts: a random dense polynomial of degree
+# 128 passes make_order in under a second, and cyclo-demo reaches it
+POLY_DEGREE_MAX = 128
+
+
 def parse_poly(text: str) -> Poly:
     """Parse either a comma coefficient list or a symbolic polynomial in x.
 
     ``"1,0,1"`` and ``"x^2+1"`` both give (1, 0, 1).  Negative coefficients
-    are accepted in both forms.
+    are accepted in both forms.  No term may have a degree above
+    POLY_DEGREE_MAX.
     """
     s = text.strip()
     if not s:
         raise ParseError("empty polynomial")
     if "," in s:
+        parts = s.split(",")
+        if len(parts) > POLY_DEGREE_MAX + 1:
+            raise ParseError(f"degree {len(parts) - 1} is above the cap of "
+                             f"{POLY_DEGREE_MAX}")
         try:
-            coeffs = tuple(int(part.strip()) for part in s.split(","))
+            coeffs = tuple(int(part.strip()) for part in parts)
         except ValueError as exc:
             raise ParseError(f"bad coefficient list {text!r}") from exc
         return coeffs
@@ -115,12 +125,15 @@ def parse_poly(text: str) -> Poly:
         if not first and sign_s == "":
             raise ParseError(f"missing +/- between terms in {text!r}")
         sign = -1 if sign_s == "-" else 1
-        if const is not None:
-            k, c = 0, int(const)
-        elif cx is not None:
-            k, c = int(kx) if kx is not None else 1, int(cx)
-        else:
-            k, c = int(k_only) if k_only is not None else 1, 1
+        try:  # a term is a constant, c*x^k or x^k, and x^k defaults to k = 1
+            k = 0 if const is not None else int(kx or k_only or 1)
+            c = int(const or cx or 1)
+        except ValueError as exc:  # beyond Python's int-string digit limit
+            raise ParseError(
+                "an integer in the polynomial has too many digits") from exc
+        if k > POLY_DEGREE_MAX:
+            raise ParseError(f"degree {k} is above the cap of "
+                             f"{POLY_DEGREE_MAX}")
         terms[k] = terms.get(k, 0) + sign * c
         pos = m.end()
         first = False
@@ -365,9 +378,6 @@ class OrderElement:
     """Element of an order: coordinates in the power basis, length d."""
 
     coeffs: tuple
-
-    def __iter__(self):
-        return iter(self.coeffs)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,15 @@ from .errors import (
     ParseError,
     UniformizerNotFound,
     ZeroElement,
+    magnitude,
 )
 from .order import NumberFieldOrder, OrderElement, poly_mul_z, poly_str
 
 DEFAULT_NORM_CAP = 10 ** 12
+
+# the largest norm parse_ideal accepts, in bits: forming the norm p^(f*m) of
+# an ideal of 2^20 bits takes milliseconds, of 2^27 bits about a second
+IDEAL_NORM_BITS_MAX = 1 << 20
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -233,10 +238,6 @@ class FactoredIdeal:
                     f"prime factors must be distinct, {pd} is repeated")
             seen.add(key)
 
-    @classmethod
-    def unit(cls) -> "FactoredIdeal":
-        return cls(())
-
     @property
     def is_unit_ideal(self) -> bool:
         return not self.factors
@@ -253,9 +254,6 @@ class FactoredIdeal:
         if not self.factors:
             return "(1)"
         return "; ".join(_ideal_label_term(pd, m) for pd, m in self.factors)
-
-    def to_json(self) -> list[dict]:
-        return [dict(pd.to_json(), m=m) for pd, m in self.factors]
 
     def __str__(self) -> str:
         return self.label()
@@ -278,7 +276,8 @@ def factor_element(o: NumberFieldOrder, a: OrderElement,
     if n == 0:
         raise ZeroElement("cannot factor the zero ideal")
     if n > norm_cap:
-        raise NormTooLarge(f"|N(a)| = {n} exceeds the cap {norm_cap}")
+        raise NormTooLarge(
+            f"|N(a)| = {magnitude(n)} exceeds the cap {norm_cap}")
     out = []
     for p in sorted(trial_factor(n)):
         for pd in factor_prime(o, p):
@@ -300,7 +299,8 @@ def parse_ideal(o: NumberFieldOrder, text: str) -> FactoredIdeal:
     """Parse ``"p^m"`` terms joined by ``;`` into a factored ideal.
 
     ``p^m@i`` selects the i-th prime above p in canonical order (default 0);
-    repeated mentions of the same prime are merged by adding exponents.
+    repeated mentions of the same prime are merged by adding exponents.  An
+    ideal whose norm has more than IDEAL_NORM_BITS_MAX bits is refused.
     """
     if not text.strip():
         raise ParseError("empty ideal")
@@ -311,7 +311,11 @@ def parse_ideal(o: NumberFieldOrder, text: str) -> FactoredIdeal:
         m = _IDEAL_TERM_RE.match(term)
         if not m:
             raise ParseError(f"bad ideal term {raw.strip()!r}, want p^m or p^m@i")
-        p, exp, idx = int(m.group(1)), int(m.group(2)), int(m.group(3) or 0)
+        try:
+            p, exp, idx = (int(g or 0) for g in m.groups())
+        except ValueError as exc:  # beyond Python's int-string digit limit
+            raise ParseError(
+                "an integer in the ideal has too many digits") from exc
         if not is_prime(p):
             raise ParseError(f"{p} is not prime")
         if exp < 1:
@@ -325,4 +329,9 @@ def parse_ideal(o: NumberFieldOrder, text: str) -> FactoredIdeal:
         exps[key] = exps.get(key, 0) + exp
         data[key] = above[idx]
     factors = tuple((data[k], exps[k]) for k in sorted(exps))
+    # clamped, as each unit of an exponent adds a bit, to keep a float sum
+    if sum(pd.f * min(m, IDEAL_NORM_BITS_MAX + 1) * math.log2(pd.p)
+           for pd, m in factors) > IDEAL_NORM_BITS_MAX:
+        raise ParseError(f"the norm of the ideal has more than "
+                         f"{IDEAL_NORM_BITS_MAX} bits")
     return FactoredIdeal(factors)

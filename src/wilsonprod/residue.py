@@ -45,6 +45,7 @@ from .errors import (
     JOutOfRange,
     NotAPowerOfTwo,
     RingTooLarge,
+    magnitude,
 )
 from .order import NumberFieldOrder, OrderElement, poly_divmod_monic, poly_str
 from .primes import FactoredIdeal, PrimeIdealData, uniformizer
@@ -82,7 +83,9 @@ class OrderContext:
 
         A composite basis is the comaximal product of the cached bases of
         its prefix and of its last factor: sweep_ideals yields every prefix
-        before its extensions.
+        before its extensions.  Each basis is checked once, when it is
+        made, for what the box representatives and the int64 bounds of the
+        rings rely on: every entry in [0, pivot), and the norm as index.
         """
         out = self._bases.get(factors)
         if out is None:
@@ -95,7 +98,14 @@ class OrderContext:
                 out = lattice.ideal_power_lattice(self.order, pd.p,
                                                   pd.gen_poly, m)
             else:
-                out = lattice.identity_lattice(self.order.degree)
+                out = np.eye(self.order.degree, dtype=int).tolist()
+            ideal = FactoredIdeal(factors)
+            if not lattice.is_reduced(out) or \
+                    lattice.lattice_det(out) != ideal.absolute_norm:
+                raise InvariantViolation(
+                    f"lattice basis {out} of {self.order}/({ideal.label()}) "
+                    f"is not in reduced Hermite normal form of index "
+                    f"{ideal.absolute_norm}")
             self._bases[factors] = out
         return out
 
@@ -126,7 +136,7 @@ class OrderContext:
         key = (pd, small)
         table = self._tables.get(key)
         if table is None:
-            box = _np_box(small)
+            box = _np_coords(np.arange(np.prod(small)), small)
             table = np.ones(box.shape[1], dtype=bool)
             table[_np_reduce(box, self.basis(((pd, 1),)), pd.p,
                              (0,) * len(diag))] = False
@@ -166,28 +176,17 @@ class Census(NamedTuple):
 
 
 class ResidueRing:
-    """o/a for a nonzero ideal a of an order o, within the enumeration cap."""
+    """o/a for a nonzero ideal a of an order o, within the enumeration cap;
+    rings of one order and modulus are equal (the HNF basis is canonical)."""
 
-    def __init__(self, context: OrderContext, modulus: FactoredIdeal,
-                 basis: list[list[int]], cap: int):
+    def __init__(self, context: OrderContext, modulus: FactoredIdeal):
         o = context.order
-        # the lattice of each prime divisor P, for the unit test
-        self.radical_bases = [context.basis(((pd, 1),))
-                              for pd, _ in modulus.factors]
-        # the box representatives and the int64 bounds below rely on every
-        # basis entry lying in [0, pivot)
-        for b in [basis, *self.radical_bases]:
-            if not lattice.is_reduced(b):
-                raise InvariantViolation(
-                    f"lattice basis {b} of {o}/({modulus.label()}) is not "
-                    f"in reduced Hermite normal form")
         self.context = context
         self.order = o
         self.modulus = modulus
-        self.basis = basis
-        self.diag = tuple(basis[i][i] for i in range(o.degree))
-        self.size = lattice.lattice_det(basis)
-        self.cap = cap
+        self.basis = context.basis(tuple(modulus.factors))
+        self.diag = tuple(self.basis[i][i] for i in range(o.degree))
+        self.size = lattice.lattice_det(self.basis)
         self.unit_count = 1
         for pd, m in modulus.factors:
             q = pd.p ** pd.f
@@ -201,16 +200,22 @@ class ResidueRing:
         self._np_ok = self._bounds_allow_int64()
         # coefficients, not a ResidueElement: an element refers back to its
         # ring, and that cycle would leave a dropped ring to the cyclic GC
-        self._one_coeffs = lattice.reduce_mod(basis, o.one.coeffs)
+        self._one_coeffs = lattice.reduce_mod(self.basis, o.one.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ResidueRing) and \
+            (self.order, self.modulus) == (other.order, other.modulus)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.modulus))
 
     # -- plumbing ------------------------------------------------------------
 
     def _bounds_allow_int64(self) -> bool:
         n = self.size
         d = self.order.degree
-        s = 1
-        for m in range(d):
-            s = max(s, 1 + sum(abs(row[m]) for row in self._red_rows))
+        s = max(1 + sum(abs(row[m]) for row in self._red_rows)
+                for m in range(d))
         # with "defer", coefficients are reduced only after the high-degree
         # columns of the convolution are folded back in
         self._defer_mod = d * n * n * s < _INT64_SAFE
@@ -234,8 +239,9 @@ class ResidueRing:
         return self.reduce(prod)
 
     def is_unit(self, x: ResidueElement) -> bool:
-        return all(not lattice.contains(rad, x.coeffs)
-                   for rad in self.radical_bases)
+        return all(not lattice.contains(self.context.basis(((pd, 1),)),
+                                        x.coeffs)
+                   for pd, _ in self.modulus.factors)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -315,13 +321,12 @@ class ResidueRing:
         tree at the end.  Coefficients are reduced mod |o/a| after every
         multiplication and the product to its canonical representative.
         """
-        one = self._np_one()
         args = (self._np_red_rows(), self.size, self.order.degree,
                 self._defer_mod)
         # columns set to 1 until a block reaches them: a later block can
         # hold more units than the first
-        acc = np.repeat(one[:, None], FOLD, axis=1) \
-            if self.size > CHUNK else None
+        acc = np.repeat(np.array(self._one_coeffs, dtype=np.int64)[:, None],
+                        FOLD, axis=1) if self.size > CHUNK else None
         roots = []
         for cols in self._units_array():
             if census:
@@ -329,12 +334,12 @@ class ResidueRing:
                 roots.append(cols[:, _np_reduce(sq, self.basis, self.size,
                                                 self._one_coeffs)])
             if acc is None:
-                col = _np_tree_product(cols, one, *args)
+                col = _np_tree_product(cols, *args)
             else:
                 live = _np_fold(cols, FOLD, *args)
                 acc[:, :live] = _np_mul(acc[:, :live], cols[:, :live], *args)
         if acc is not None:
-            col = _np_tree_product(acc, one, *args)
+            col = _np_tree_product(acc, *args)
         product = self.reduce([int(c) for c in col])
         if not census:
             return product, None
@@ -357,14 +362,9 @@ class ResidueRing:
 
     # -- numpy helpers -------------------------------------------------------
 
-    def _np_one(self) -> np.ndarray:
-        return np.array(self._one_coeffs, dtype=np.int64)
-
     def _np_red_rows(self) -> np.ndarray:
-        d = self.order.degree
-        if not self._red_rows:
-            return np.zeros((0, d), dtype=np.int64)
-        return np.array(self._red_rows, dtype=np.int64)
+        return np.array(self._red_rows, dtype=np.int64).reshape(
+            -1, self.order.degree)
 
     # -- output --------------------------------------------------------------
 
@@ -393,32 +393,26 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 
     The lattice of a is the product of its prime-power lattices (equal to
     the intersection, the factors being pairwise comaximal), from ``ctx``,
-    which shares bases and tables among the rings of one order; without
-    one, a fresh context is made.  The determinant is checked against the
-    ideal norm.
+    which shares bases and tables among the rings of one order and checks
+    each basis when it makes it; without one, a fresh context is made.
     """
     norm = a.absolute_norm
     if norm > cap:
-        raise RingTooLarge(f"|o/a| = {norm} exceeds the cap {cap}")
+        raise RingTooLarge(f"|o/a| = {magnitude(norm)} exceeds the cap {cap}")
     if ctx is None:
         ctx = OrderContext(o)
     elif ctx.order != o:
         raise InvariantViolation(f"a context of {ctx.order} used for {o}")
-    basis = ctx.basis(tuple(a.factors))
-    if lattice.lattice_det(basis) != norm:
-        raise InvariantViolation(
-            f"lattice index {lattice.lattice_det(basis)} of {o}/({a.label()}) "
-            f"differs from the ideal norm {norm}")
-    return ResidueRing(ctx, a, basis, cap)
+    return ResidueRing(ctx, a)
 
 
 # ---------------------------------------------------------------------------
 # int64 kernels.  Preconditions (checked via _bounds_allow_int64): operand
 # coefficients lie in [0, N); N is the ring size; every basis entry lies in
-# [0, pivot) (checked at ring construction); the lattice shift trick
-# (adding multiples of s*e_i, legal whenever s*Z^d is inside the lattice)
-# keeps every intermediate below the asserted bounds.  The kernels take
-# elements as (d, count) columns, each coefficient one contiguous row.
+# [0, pivot) (checked where OrderContext makes the basis); the lattice shift
+# trick (adding multiples of s*e_i, legal whenever s*Z^d is inside the
+# lattice) keeps every intermediate below the asserted bounds.  The kernels
+# take elements as (d, count) columns, each coefficient one contiguous row.
 # Divisions by powers of two — the common case, every lattice above 2 being
 # 2-power-indexed — are done with shifts and masks.
 # ---------------------------------------------------------------------------
@@ -436,22 +430,6 @@ def _np_divmod(x: np.ndarray, m: int):
         return x >> (m.bit_length() - 1), x & (m - 1)
     q = x // m  # as in _np_mod
     return q, x - q * m
-
-
-def _np_box(diag: Sequence[int]) -> np.ndarray:
-    """All canonical representatives as (d, size) columns, last coordinate
-    varying fastest."""
-    d = len(diag)
-    size = 1
-    for h in diag:
-        size *= h
-    out = np.empty((d, size), dtype=np.int64)
-    block = size
-    for i in range(d):
-        block //= diag[i]
-        col = np.repeat(np.arange(diag[i], dtype=np.int64), block)
-        out[i] = np.tile(col, size // (diag[i] * block))
-    return out
 
 
 def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
@@ -595,12 +573,10 @@ def _np_fold(a: np.ndarray, width: int, red_rows: np.ndarray, n: int,
     return live
 
 
-def _np_tree_product(units: np.ndarray, one_col: np.ndarray,
-                     red_rows: np.ndarray, n: int, d: int,
-                     defer_mod: bool) -> np.ndarray:
-    """Product of the columns of a (d, count) array, as a balanced tree."""
-    if units.shape[1] == 0:
-        return one_col
+def _np_tree_product(units: np.ndarray, red_rows: np.ndarray, n: int,
+                     d: int, defer_mod: bool) -> np.ndarray:
+    """Product of the columns of a nonempty (d, count) array, as a balanced
+    tree."""
     a = units.copy(order="C")
     _np_fold(a, 1, red_rows, n, d, defer_mod)
     return a[:, 0]

@@ -68,13 +68,6 @@ class AbelianGroupSpec:
     def d2(self) -> int:
         return sum(1 for n in self.cyclic_orders if n % 2 == 0)
 
-    @property
-    def size(self) -> int:
-        out = 1
-        for n in self.cyclic_orders:
-            out *= n
-        return out
-
 
 def group_sum(spec: AbelianGroupSpec) -> tuple:
     """Sum of all elements: zero unless exactly one cyclic order is even,
@@ -292,13 +285,11 @@ class VerifyResult:
 
 
 def verify_ideal(o: NumberFieldOrder, a: FactoredIdeal, *,
-                 cap: int = DEFAULT_CAP, ring: ResidueRing | None = None,
-                 ctx: OrderContext | None = None,
+                 cap: int = DEFAULT_CAP, ctx: OrderContext | None = None,
                  with_census: bool = True) -> VerifyResult:
     """Compare the classified product against honest enumeration; the ring
-    is built in ``ctx`` (or a fresh context) unless one is given."""
-    if ring is None:
-        ring = build_residue_ring(o, a, cap=cap, ctx=ctx)
+    is built in ``ctx``, or in a fresh context."""
+    ring = build_residue_ring(o, a, cap=cap, ctx=ctx)
     predicted = classify_global(o, a, cap=cap, ring=ring)
     # one walk over the units gives the product, and the census with it
     census = ring.order2_census() if with_census else None

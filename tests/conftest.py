@@ -1,10 +1,14 @@
 """Shared fixtures: the catalog of orders exercised throughout the suite,
-and the brute-force oracle of wilson.group_sum."""
+the brute-force oracle of wilson.group_sum, and a bounded CLI runner."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wilsonprod
 from wilsonprod.order import make_order
 
 # name -> defining polynomial (constant first).  All are maximal orders:
@@ -42,3 +46,34 @@ def group_sum_enumerated(spec):
         for i, c in enumerate(el):
             totals[i] += c
     return tuple(t % n for t, n in zip(totals, spec.cyclic_orders))
+
+
+_BOUNDED_MAIN = """\
+import resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from wilsonprod import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def run_cli_bounded(*argv, timeout=10.0, memory=1 << 30):
+    """``cli.main(argv)`` in a child process, as (exit code, stdout).
+
+    The child gets ``memory`` bytes of address space, set in the child
+    itself, and ``timeout`` seconds of wall clock, after which it is killed
+    and the test fails.  For inputs that could hang or grow without bound:
+    a regression on them fails in seconds and leaves the test process as
+    it was.
+    """
+    src = os.path.dirname(os.path.dirname(wilsonprod.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", _BOUNDED_MAIN, str(memory), *argv],
+            capture_output=True, text=True, timeout=timeout, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"cli {' '.join(argv)[:120]} ran past {timeout} s")
+    return proc.returncode, proc.stdout

@@ -6,6 +6,9 @@ import pytest
 
 from wilsonprod import cli, order
 from wilsonprod.cli import main
+from wilsonprod.primes import IDEAL_NORM_BITS_MAX
+
+from conftest import run_cli_bounded
 
 
 def run(capsys, *argv):
@@ -287,3 +290,73 @@ def test_one_parser_serves_interleaved_requests(capsys, monkeypatch):
         fresh = [run(capsys, *argv) for argv in requests]
     shared = [run(capsys, *argv) for argv in requests + requests[::-1]]
     assert shared == fresh + fresh[::-1]
+
+
+# -- inputs that once hung or ended in internal_error -----------------------
+
+LONG = "1" * 5000  # above Python's int-string limit of 4,300 digits
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--poly", "x^2+1", "--ideal", "2^99999999999999999999"),
+    ("verify", "--poly", "x^2+1", "--ideal", "2^99999999999999999999"),
+    ("verify", "--poly", "x^99999999+1", "--ideal", "2^1"),
+    ("classify", "--poly", "x^2+1", "--gen", "x^99999999"),
+    ("gauss", "--max-A", "99999999999"),
+    ("classify", "--poly", "x^2+1", "--ideal", f"{LONG}^1"),
+    ("classify", "--poly", "x^2+1", "--ideal", f"2^{LONG}"),
+    ("classify", "--poly", f"x^2+{LONG}", "--ideal", "2^1"),
+    ("classify", "--poly", f"x^{LONG}+1", "--ideal", "2^1"),
+    ("classify", "--poly", "x^2+1", "--gen", f"{LONG}x+1"),
+])
+def test_unbounded_inputs_are_parse_errors(argv):
+    code, out = run_cli_bounded(*argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "parse_error"
+
+
+@pytest.mark.parametrize("argv,kind", [
+    # norms whose decimal form Python refuses to print
+    (("verify", "--poly", "x^4+1", "--ideal", "2^300000"), "ring_too_large"),
+    (("verify", "--poly", "x^2+1", "--ideal", "2^20000", "--dump"),
+     "dump_too_large"),
+    (("classify", "--poly", "x^2+1", "--gen", "1" * 4000 + "x+1"),
+     "norm_too_large"),
+])
+def test_huge_norms_are_typed_errors(argv, kind):
+    code, out = run_cli_bounded(*argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == kind
+
+
+def test_classify_far_beyond_the_cap_answers():
+    code, out = run_cli_bounded("classify", "--poly", "x^2+1", "--ideal",
+                                "2^100000", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["class"], doc["d2"], doc["witness"]) == ("one", 3, None)
+
+
+@pytest.mark.parametrize("argv,ok", [
+    (("factor", "--poly", "1," + "0," * 127 + "1", "--prime", "2"), True),
+    (("factor", "--poly", "1," + "0," * 128 + "1", "--prime", "2"), False),
+    (("factor", "--poly", "x^129+x+1", "--prime", "2"), False),
+    (("gauss", "--max-A", str(cli.GAUSS_MAX_A + 1)), False),
+    (("classify", "--poly", "x", "--ideal", f"2^{IDEAL_NORM_BITS_MAX}"),
+     True),
+    (("classify", "--poly", "x", "--ideal",
+      f"2^{IDEAL_NORM_BITS_MAX // 2}; 2^{IDEAL_NORM_BITS_MAX // 2 + 1}"),
+     False),
+    # 2 is inert in x^2+x+1, so 2^m has norm 4^m
+    (("classify", "--poly", "x^2+x+1", "--ideal",
+      f"2^{IDEAL_NORM_BITS_MAX // 2}"), True),
+    (("classify", "--poly", "x^2+x+1", "--ideal",
+      f"2^{IDEAL_NORM_BITS_MAX // 2 + 1}"), False),
+])
+def test_caps_are_inclusive(capsys, argv, ok):
+    code, out = run(capsys, *argv, "--output", "json")
+    doc = json.loads(out)
+    if ok:
+        assert code == 0 and "error" not in doc
+    else:
+        assert code == 2 and doc["error"]["type"] == "parse_error"

@@ -211,8 +211,3 @@ class TestParseIdeal:
         for text in ("2^2", "5^1@1", "2^1; 5^2; 13^1@1"):
             fi = parse_ideal(zi, text)
             assert parse_ideal(zi, fi.label()) == fi
-
-    def test_json_shape(self, zi):
-        fi = parse_ideal(zi, "5^2@1")
-        assert fi.to_json() == [
-            {"prime": 5, "gen": [3, 1], "e": 1, "f": 1, "m": 2}]

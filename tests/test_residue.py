@@ -21,8 +21,14 @@ from wilsonprod.primes import (
     factor_prime,
     parse_ideal,
 )
-from wilsonprod.residue import OrderContext, ResidueRing, build_residue_ring
-from wilsonprod.wilson import ProductClass, classify_global, sweep_ideals
+from wilsonprod.residue import OrderContext, build_residue_ring
+from wilsonprod.wilson import (
+    ProductClass,
+    classify_global,
+    sweep_field,
+    sweep_ideals,
+    verify_ideal,
+)
 
 from conftest import CATALOG_POLYS
 
@@ -97,13 +103,59 @@ def test_composite_basis_is_reduced(catalog):
     assert ring.order2_census().d2 == 3
 
 
-def test_unreduced_basis_is_refused(catalog):
+def test_unreduced_basis_is_refused(catalog, monkeypatch):
+    # the context checks each basis it makes, so no ring is built on one
+    # with an entry outside [0, pivot)
     o = catalog["gaussian"]
     a = parse_ideal(o, "2^3")
-    good = build_residue_ring(o, a)
-    assert good.basis == [[2, 2], [0, 4]]
-    with pytest.raises(InvariantViolation):
-        ResidueRing(good.context, a, [[2, -2], [0, 4]], good.cap)
+    assert build_residue_ring(o, a).basis == [[2, 2], [0, 4]]
+    monkeypatch.setattr(lattice, "ideal_power_lattice",
+                        lambda *args: [[2, -2], [0, 4]])
+    with pytest.raises(InvariantViolation, match="not in reduced"):
+        build_residue_ring(o, a)
+
+
+@pytest.mark.parametrize("maker,label,basis", [
+    ("ideal_power_lattice", "2^3", [[2, 0], [0, 2]]),
+    ("comaximal_product", "2^3; 5^1", [[1, 0], [0, 8]]),
+])
+def test_basis_of_wrong_index_is_refused(catalog, monkeypatch, maker, label,
+                                         basis):
+    o = catalog["gaussian"]
+    monkeypatch.setattr(lattice, maker, lambda *args: basis)
+    with pytest.raises(InvariantViolation, match="not in reduced .* index"):
+        build_residue_ring(o, parse_ideal(o, label))
+
+
+def test_each_basis_is_checked_once(monkeypatch):
+    # every basis a sweep's context makes is the basis of one of its rings
+    checked = []
+    is_reduced = lattice.is_reduced
+    monkeypatch.setattr(lattice, "is_reduced",
+                        lambda b: checked.append(b) or is_reduced(b))
+    o = make_order("x^3-2")
+    summary = sweep_field(o, 1 << 10)
+    assert summary.ok and len(checked) == summary.cases > 100
+
+
+def test_two_builds_of_one_ring_are_equal(catalog):
+    o = catalog["gaussian"]
+    a = parse_ideal(o, "5^1")
+    assert verify_ideal(o, a).actual == verify_ideal(o, a).actual
+    ring = build_residue_ring(o, a)
+    assert ring == build_residue_ring(o, a)
+    assert hash(ring) == hash(build_residue_ring(o, a))
+    assert ring != build_residue_ring(o, parse_ideal(o, "5^1@1"))
+
+
+def test_non_deferred_reduction():
+    # the fold rows of this f have large residues mod |o/a| = 937,024, which
+    # leaves too little int64 room to defer the coefficient reduction past
+    # the fold, so _np_mul reduces before the fold as well
+    o = make_order("x^8+123456789x^3+1")
+    res = verify_ideal(o, parse_ideal(o, "2^2; 11^4@1"))
+    assert res.ring._np_ok and not res.ring._defer_mod
+    assert res.match and res.census.d2 == 4
 
 
 # -- the shared context and the comaximal product ------------------------------
@@ -396,8 +448,7 @@ def test_chunked_enumeration_matches_one_pass(monkeypatch, poly, label,
     ring = build_residue_ring(o, parse_ideal(o, label))
     cols = ring._unit_rows().T
     whole = residue._np_tree_product(
-        cols, ring._np_one(), ring._np_red_rows(), ring.size, o.degree,
-        ring._defer_mod)
+        cols, ring._np_red_rows(), ring.size, o.degree, ring._defer_mod)
     assert ring.unit_product() == ring.reduce([int(c) for c in whole])
     census = ring.order2_census()
     assert census.product == ring.unit_product()
