@@ -67,6 +67,8 @@ def run_cli_bounded(*argv, timeout=10.0, memory=1 << 30):
     it was.
     """
     src = os.path.dirname(os.path.dirname(wilsonprod.__file__))
+    # numpy's BLAS reserves address space per thread, which on a machine
+    # with many cores could use up the limit before the CLI runs
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
