@@ -49,6 +49,10 @@ DUMP_CAP = 1 << 16
 # the largest gauss --max-A: the brute force is quadratic in it, and takes
 # about 0.5 s at the cap
 GAUSS_MAX_A = 2000
+# the integer flags, by argparse dest; argparse keeps their text and main
+# parses it, so that a bad value is a parse_error like any other bad input
+INT_FLAGS = {"prime": "--prime", "cap": "--cap", "max_norm": "--max-norm",
+             "max_a": "--max-A", "t": "--t", "n_max": "--n-max"}
 
 
 def _emit(args: argparse.Namespace, doc: dict, lines: list) -> None:
@@ -257,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="monic irreducible defining polynomial,"
                                 " e.g. 'x^2+1' or '1,0,1'")
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=None,
+        p.add_argument("--cap", default=None,
                        help="enumeration cap on |o/a|"
                             " (default 2^20; env WILSON_CAP)")
 
     p = sub.add_parser("factor", help="factor a rational prime in the order")
     p.set_defaults(handler=cmd_factor)
     common(p)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", required=True)
 
     p = sub.add_parser("classify", help="closed-form product class of o/a")
     p.set_defaults(handler=cmd_classify)
@@ -284,22 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify all small ideals of the order")
     p.set_defaults(handler=cmd_sweep)
     common(p)
-    p.add_argument("--max-norm", type=int, required=True)
+    p.add_argument("--max-norm", required=True)
 
     p = sub.add_parser("gauss", help="classical table over Z")
     p.set_defaults(handler=cmd_gauss)
     common(p, poly=False)
-    p.add_argument("--max-A", dest="max_a", type=int, required=True,
+    p.add_argument("--max-A", dest="max_a", required=True,
                    help="largest modulus (at most %d)" % GAUSS_MAX_A)
 
     p = sub.add_parser("cyclo-demo",
                        help="2-power cyclotomic pattern 1, 1+pi, 1+pi^2, 1...")
     p.set_defaults(handler=cmd_cyclo_demo)
     common(p, poly=False)
-    p.add_argument("--t", type=int, required=True,
+    p.add_argument("--t", required=True,
                    help="conductor exponent (2 <= t <= %d; degree is"
                         " 2^(t-1))" % CYCLO_T_MAX)
-    p.add_argument("--n-max", dest="n_max", type=int, default=6)
+    p.add_argument("--n-max", dest="n_max", default=6)
 
     return parser
 
@@ -316,6 +320,18 @@ def _resolve_cap(cap: int | None) -> int:
     return cap
 
 
+def _parse_int_flags(args: argparse.Namespace) -> None:
+    for dest, flag in INT_FLAGS.items():
+        value = getattr(args, dest, None)
+        if isinstance(value, str):
+            try:
+                setattr(args, dest, int(value))
+            except ValueError:  # not an integer, or beyond the digit limit
+                shown = value if len(value) <= 40 else value[:40] + "..."
+                raise ParseError(
+                    f"{flag} must be an integer, got {shown!r}") from None
+
+
 def _check_nonnegative(value: int, flag: str) -> None:
     if value < 0:
         raise ParseError(f"{flag} must be positive")
@@ -324,6 +340,7 @@ def _check_nonnegative(value: int, flag: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _parse_int_flags(args)
         args.cap = _resolve_cap(args.cap)
         return args.handler(args)
     except WilsonError as exc:

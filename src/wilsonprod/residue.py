@@ -18,21 +18,26 @@ keeps the bounds small.
 The product and the census share one walk over the units.  It builds a
 flat unit mask of the box (one byte per element, tiled from small per-prime
 tables), then takes the box CHUNK positions at a time: each block's units
-are decoded to coordinates, squared and tested for x^2 = 1 when the census
-is asked for, and folded into a running product of FOLD columns.  A ring
-keeps no unit array: `units`, `principal_units` and the dump build the
-whole array only when they are called, so after a walk nothing the size of
-the ring is left, and its temporaries stay a few megabytes near the cap.
+are decoded to coordinates and folded into a running product of FOLD
+columns.  When the census is asked for, a second mask, tiled from per-prime
+tables of the classes with x^2 = 1 mod P, marks the candidates (a square
+root of 1 mod a is one mod every P | a); only the candidates of each block
+are squared and tested for x^2 = 1 mod a.  A ring keeps no unit array:
+`units`, `principal_units` and the dump build the whole array only when
+they are called, so after a walk nothing the size of the ring is left, and
+its temporaries stay a few megabytes near the cap.
 A box of at most CHUNK positions is one block, multiplied as one tree.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
-fold rows and unit tables are built once per context, not once per ring.
+fold rows, and unit and root tables are built once per context, not once
+per ring.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -64,7 +69,7 @@ FOLD = 1 << 10
 
 class OrderContext:
     """What the residue rings of one order share, each built once: lattice
-    bases, uniformizers, fold rows and unit tables.
+    bases, uniformizers, fold rows, and unit and root tables.
 
     A context lives for one top-level call (one sweep, one CLI request, one
     bare verify_ideal or classify_global) and is never stored on the order,
@@ -125,6 +130,15 @@ class OrderContext:
             rows.append(rem + (0,) * (d - len(rem)))
         return rows
 
+    def red_rows(self, n: int) -> list[list[int]]:
+        """The fold rows as symmetric residues mod n.
+
+        Only their residues mod n are ever used, and symmetric residues keep
+        the int64 bounds independent of the size of f's coefficients.
+        """
+        half = n // 2
+        return [[(c + half) % n - half for c in row] for row in self.fold_rows]
+
     def unit_table(self, pd: PrimeIdealData,
                    diag: Sequence[int]) -> np.ndarray:
         """Which classes of the small box prod [0, min(diag_i, p)) lie
@@ -132,15 +146,50 @@ class OrderContext:
         P only depends on the coordinates mod p (p*e_i lies in P), so
         _np_unit_mask tiles this table out to the full box.
         """
+        return self._table(pd, diag, roots=False)
+
+    def root_table(self, pd: PrimeIdealData,
+                   diag: Sequence[int]) -> np.ndarray:
+        """Which classes of the same small box square to 1 mod P; whether
+        x^2 - 1 lies in P also depends only on the coordinates mod p, so
+        _np_unit_mask tiles it the same way.  Every such class is a unit.
+        When every unit squares to 1 mod P (q = 2, or p = 3 with f = 1)
+        this is the unit table itself, the same array, so a walk can tell
+        that it sieves nothing.
+        """
+        return self._table(pd, diag, roots=True)
+
+    def _table(self, pd: PrimeIdealData, diag: Sequence[int],
+               roots: bool) -> np.ndarray:
+        """A unit or root table, made by enumerating the small box CHUNK
+        classes at a time: each class, or its square mod p, is tested
+        against 0 or 1 mod P.  Cached per (P, small box)."""
         small = tuple(min(h, pd.p) for h in diag)
-        key = (pd, small)
+        key = (pd, small, roots)
         table = self._tables.get(key)
         if table is None:
-            box = _np_coords(np.arange(np.prod(small)), small)
-            table = np.ones(box.shape[1], dtype=bool)
-            table[_np_reduce(box, self.basis(((pd, 1),)), pd.p,
-                             (0,) * len(diag))] = False
+            p, d = pd.p, self.order.degree
+            basis = self.basis(((pd, 1),))
+            if roots:
+                target = lattice.reduce_mod(basis, self.order.one.coeffs)
+                # coefficients mod p, which p*o in P allows; reducing before
+                # the fold keeps this within the bound of the rings above P
+                args = (np.array(self.red_rows(p), dtype=np.int64).reshape(
+                    -1, d), p, d, False)
+            else:
+                target = (0,) * d
+            n = int(np.prod(small))
+            table = np.zeros(n, dtype=bool)
+            for s in range(0, n, CHUNK):
+                box = _np_coords(np.arange(s, min(n, s + CHUNK)), small)
+                if roots:
+                    box = _np_mul(box, box, *args)
+                table[s + _np_reduce(box, basis, p, target)] = True
             table = table.reshape(tuple(h for h in small if h > 1))
+            if not roots:
+                table = ~table
+            elif np.array_equal(table, units := self.unit_table(pd, diag)):
+                table = units
             table.flags.writeable = False
             self._tables[key] = table
         return table
@@ -163,7 +212,9 @@ class ResidueElement:
 class Census(NamedTuple):
     """Census of square roots of 1 among the units.
 
-    ``elements`` lists every unit x with x^2 = 1 (the identity included);
+    ``elements`` lists every unit x with x^2 = 1 (the identity included),
+    in box order; each is found by squaring it mod a, among the candidates
+    the root tables leave (the classes that square to 1 mod every P | a).
     ``count`` is the number of elements of order exactly 2, which is always
     2^d2 - 1.  ``product`` is the product of all units, taken on the same
     walk.
@@ -191,12 +242,7 @@ class ResidueRing:
         for pd, m in modulus.factors:
             q = pd.p ** pd.f
             self.unit_count *= q ** (m - 1) * (q - 1)
-        # only the residues of the fold rows mod |o/a| are ever used, and
-        # symmetric residues keep the int64 bounds independent of the size
-        # of f's coefficients
-        half = self.size // 2
-        self._red_rows = [[(c + half) % self.size - half for c in row]
-                          for row in context.fold_rows]
+        self._red_rows = context.red_rows(self.size)
         self._np_ok = self._bounds_allow_int64()
         # coefficients, not a ResidueElement: an element refers back to its
         # ring, and that cycle would leave a dropped ring to the cyclic GC
@@ -320,6 +366,8 @@ class ResidueRing:
         into an accumulator of FOLD columns, which is multiplied out as a
         tree at the end.  Coefficients are reduced mod |o/a| after every
         multiplication and the product to its canonical representative.
+        The census squares only the candidates of each block (see
+        _root_mask) and keeps those whose square is 1 mod a.
         """
         args = (self._np_red_rows(), self.size, self.order.degree,
                 self._defer_mod)
@@ -327,12 +375,17 @@ class ResidueRing:
         # hold more units than the first
         acc = np.repeat(np.array(self._one_coeffs, dtype=np.int64)[:, None],
                         FOLD, axis=1) if self.size > CHUNK else None
+        # the units first: _units_array refuses a ring beyond the int64 bound
+        blocks = self._units_array()
+        sieve = self._root_mask() if census else None
         roots = []
-        for cols in self._units_array():
+        for s, cols in zip(itertools.count(0, CHUNK), blocks):
             if census:
-                sq = _np_mul(cols, cols, *args)
-                roots.append(cols[:, _np_reduce(sq, self.basis, self.size,
-                                                self._one_coeffs)])
+                cands = cols if sieve is None else _np_coords(
+                    np.flatnonzero(sieve[s:s + CHUNK]) + s, self.diag)
+                sq = _np_mul(cands, cands, *args)
+                roots.append(cands[:, _np_reduce(sq, self.basis, self.size,
+                                                 self._one_coeffs)])
             if acc is None:
                 col = _np_tree_product(cols, *args)
             else:
@@ -344,6 +397,26 @@ class ResidueRing:
         if not census:
             return product, None
         return product, np.concatenate(roots, axis=1).T.tolist()
+
+    def _root_mask(self) -> np.ndarray | None:
+        """Flat mask of the census candidates, in box order: the classes
+        whose square is 1 mod every prime divisor P of a.  A square root
+        of 1 mod a is one mod each P, so no root is left out, and every
+        candidate is a unit.  None when no root table sieves out a unit, or
+        when the tables would not be small beside the box (a table squares
+        each of its classes, as the census squares each unit): then the
+        candidates are the units.
+        """
+        ctx = self.context
+        pds = [pd for pd, _ in self.modulus.factors]
+        if 2 * sum(math.prod(min(h, pd.p) for h in self.diag)
+                   for pd in pds) > self.size:
+            return None
+        tables = [(pd.p, ctx.root_table(pd, self.diag),
+                   ctx.unit_table(pd, self.diag)) for pd in pds]
+        if all(roots is units for _, roots, units in tables):
+            return None
+        return _np_unit_mask(self.diag, [(p, roots) for p, roots, _ in tables])
 
     def principal_units(self, j: int) -> list[ResidueElement]:
         """U_j = units congruent to 1 mod P^j, for a prime-power modulus P^n."""
@@ -476,8 +549,9 @@ def _np_unit_mask(diag: Sequence[int],
 
     ``tables`` holds (p, OrderContext.unit_table) for each prime divisor P
     of the modulus, the unit test of P on the small box
-    prod [0, min(diag_i, p)).  Each table is tiled out to the full box with
-    period p along each axis; no arithmetic runs over the full box.
+    prod [0, min(diag_i, p)); with root tables in their place the mask
+    marks the census candidates.  Each table is tiled out to the full box
+    with period p along each axis; no arithmetic runs over the full box.
     """
     # the mask keeps only the axes longer than 1: at most log2 |o/a| of
     # them, within numpy's 64 dimensions at any degree

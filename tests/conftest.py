@@ -2,6 +2,7 @@
 the brute-force oracle of wilson.group_sum, and a bounded CLI runner."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -49,12 +50,41 @@ def group_sum_enumerated(spec):
 
 
 _BOUNDED_MAIN = """\
-import resource, sys
+import contextlib, io, json, resource, sys, time
 limit = int(sys.argv[1])
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from wilsonprod import cli
-sys.exit(cli.main(sys.argv[2:]))
+if sys.argv[2:3] == ["--batch"]:  # argv lists as JSON on stdin
+    out = []
+    for argv in json.load(sys.stdin):
+        buf = io.StringIO()
+        t = time.perf_counter()
+        with contextlib.redirect_stdout(buf):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        out.append((code, buf.getvalue(), time.perf_counter() - t))
+    json.dump(out, sys.stdout)
+else:
+    sys.exit(cli.main(sys.argv[2:]))
 """
+
+
+def _run_bounded(args, stdin, timeout, memory, what):
+    src = os.path.dirname(os.path.dirname(wilsonprod.__file__))
+    # numpy's BLAS reserves address space per thread, which on a machine
+    # with many cores could use up the limit before the CLI runs
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", _BOUNDED_MAIN, str(memory), *args],
+            input=stdin, capture_output=True, text=True, timeout=timeout,
+            env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"cli {what[:120]} ran past {timeout} s")
 
 
 def run_cli_bounded(*argv, timeout=10.0, memory=1 << 30):
@@ -66,16 +96,18 @@ def run_cli_bounded(*argv, timeout=10.0, memory=1 << 30):
     a regression on them fails in seconds and leaves the test process as
     it was.
     """
-    src = os.path.dirname(os.path.dirname(wilsonprod.__file__))
-    # numpy's BLAS reserves address space per thread, which on a machine
-    # with many cores could use up the limit before the CLI runs
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c", _BOUNDED_MAIN, str(memory), *argv],
-            capture_output=True, text=True, timeout=timeout, env=env)
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"cli {' '.join(argv)[:120]} ran past {timeout} s")
+    proc = _run_bounded(argv, None, timeout, memory, " ".join(argv))
     return proc.returncode, proc.stdout
+
+
+def run_cli_batch_bounded(argvs, timeout=10.0, memory=1 << 30):
+    """``cli.main(argv)`` for each of ``argvs`` in turn, in one child
+    process bounded as in run_cli_bounded, which saves a process start per
+    call; as one (exit code, stdout, seconds) triple per argv.  An argparse
+    usage error gives its exit code and an empty stdout.
+    """
+    proc = _run_bounded(["--batch"], json.dumps(argvs), timeout, memory,
+                        f"batch of {len(argvs)}, from {argvs[:1]}")
+    if proc.returncode:
+        pytest.fail(f"batch child failed: {proc.stderr[-2000:]}")
+    return [tuple(r) for r in json.loads(proc.stdout)]

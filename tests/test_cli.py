@@ -315,6 +315,24 @@ def test_unbounded_inputs_are_parse_errors(argv):
     assert json.loads(out)["error"]["type"] == "parse_error"
 
 
+@pytest.mark.parametrize("argv", [
+    ("factor", "--poly", "x", "--prime", "abc"),
+    ("factor", "--poly", "x", "--prime", LONG),
+    ("verify", "--poly", "x", "--ideal", "2^1", "--cap", "2**10"),
+    ("sweep", "--poly", "x", "--max-norm", "1e3"),
+    ("gauss", "--max-A", "12.0"),
+    ("cyclo-demo", "--t", "two"),
+    ("cyclo-demo", "--t", "2", "--n-max", "3x"),
+])
+def test_integer_flags_are_parse_errors(capsys, argv):
+    # one JSON object on stdout, naming the flag, as for any bad input
+    code, out = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "parse_error"
+    assert error["message"].startswith(argv[-2] + " must be an integer")
+
+
 @pytest.mark.parametrize("argv,kind", [
     # norms whose decimal form Python refuses to print
     (("verify", "--poly", "x^4+1", "--ideal", "2^300000"), "ring_too_large"),

@@ -280,6 +280,72 @@ def test_census_gaussian_cube(catalog):
     assert sorted(s.coeffs for s in census.elements) == [(1, 0), (1, 2)]
 
 
+SIEVE_RINGS = [
+    # (poly, label, whether the census sieves its candidates)
+    ("x^4+1", "2^5", False),       # e = 4: the root table is the unit table
+    ("x^2+1", "3^2", True),        # f = 2: 2 of the 8 unit classes mod P
+    ("x^2+1", "5^1; 7^1", True),   # diag (7, 35): the axis of 7 is longer
+                                   # than 5 and not a multiple of it
+    ("x^2-2", "2^5; 7^1@1", True),  # diag (8, 28): an axis of 8 for 7
+    ("x", "2^3; 3^2; 5^1; 7^1", True),
+]
+
+
+@pytest.mark.parametrize("poly,label,_", SIEVE_RINGS)
+def test_root_tables_match_scalar_squares(poly, label, _):
+    # a class of the small box is marked iff x^2 - 1 lies in P, by the
+    # scalar ring arithmetic; the tables are cached per (P, small box)
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    for pd, _ in ring.modulus.factors:
+        table = ring.context.root_table(pd, ring.diag)
+        small = [min(h, pd.p) for h in ring.diag]
+        prime = ring.context.basis(((pd, 1),))
+        want = []
+        for x in ring.elements():
+            if all(c < h for c, h in zip(x.coeffs, small)):
+                sq = ring.mul(x, x).coeffs
+                want.append(lattice.contains(
+                    prime, [sq[0] - 1] + list(sq[1:])))
+        assert table.reshape(-1).tolist() == want, pd.label()
+        assert ring.context.root_table(pd, ring.diag) is table
+        units = ring.context.unit_table(pd, ring.diag)
+        assert (units | ~table).all()  # every root is a unit
+        assert (table is units) == (pd.p ** pd.f == 2 or
+                                    (pd.p, pd.f) == (3, 1)), pd.label()
+
+
+@pytest.mark.parametrize("poly,label,sieved", SIEVE_RINGS)
+def test_sieved_census_matches_scalar_roots(poly, label, sieved):
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    units = [x for x in ring.elements() if ring.is_unit(x)]
+    roots = [x for x in units if ring.mul(x, x) == ring.one]
+    census = ring.order2_census()
+    assert census.elements == roots  # in box order
+    assert census.d2 == len(roots).bit_length() - 1
+    sieve = ring._root_mask()
+    assert (sieve is not None) == sieved
+    if sieved:  # the candidates hold every root, and only units
+        cand = [x for x, keep in zip(ring.elements(), sieve) if keep]
+        assert set(roots) <= set(cand) <= set(units)
+        assert len(cand) < len(units)
+
+
+@pytest.mark.parametrize("poly,label", [
+    ("x^2+1", "2^1; 3^1"),    # tables of 4 and 9 classes for a box of 18
+    ("x^6+x^3+1", "13^1"),    # a table of 13 classes for a box of 13
+])
+def test_census_of_a_small_box_squares_every_unit(poly, label):
+    # no sieve where the tables would not be small beside the box
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    assert ring._root_mask() is None
+    units = [x for x in ring.elements() if ring.is_unit(x)]
+    assert ring.order2_census().elements == \
+        [x for x in units if ring.mul(x, x) == ring.one]
+
+
 # -- arithmetic sanity -------------------------------------------------------
 
 def test_scalar_ops(catalog):
@@ -541,6 +607,8 @@ def test_enumeration_beyond_int64_bound_is_refused(catalog):
     ring = build_residue_ring(o, parse_ideal(o, "2^31"), cap=1 << 40)
     with pytest.raises(RingTooLarge):
         ring.unit_product()
+    with pytest.raises(RingTooLarge):  # before any mask of the box is made
+        ring.order2_census()
 
 
 def test_classify_beyond_int64_bound_has_a_witness(catalog):
