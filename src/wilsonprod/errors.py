@@ -59,6 +59,12 @@ class NotPrime(WilsonError):
     code = "not_prime"
 
 
+class PrimeTooLarge(WilsonError):
+    """A prime at or above primes.PRIME_MAX, beyond the primality test."""
+
+    code = "prime_too_large"
+
+
 class NonMaximalOrder(WilsonError):
     """Z[theta] is not maximal at the requested prime (Dedekind test failed)."""
 

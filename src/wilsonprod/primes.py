@@ -22,6 +22,7 @@ from .errors import (
     NormTooLarge,
     NotPrime,
     ParseError,
+    PrimeTooLarge,
     UniformizerNotFound,
     ZeroElement,
     magnitude,
@@ -34,11 +35,18 @@ DEFAULT_NORM_CAP = 10 ** 12
 # an ideal of 2^20 bits takes milliseconds, of 2^27 bits about a second
 IDEAL_NORM_BITS_MAX = 1 << 20
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the smallest strong pseudoprime to every base of _MR_BASES,
+# 1287836182261 * 2575672364521: below it those bases decide primality
+PRIME_MAX = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the fixed base set covers n < 3.3e24)."""
+    """Deterministic Miller-Rabin, for n < PRIME_MAX; PrimeTooLarge above,
+    where the fixed bases prove nothing."""
+    if n >= PRIME_MAX:
+        raise PrimeTooLarge(f"{magnitude(n)} is not below {PRIME_MAX}, the "
+                            f"bound of the primality test")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -123,17 +131,21 @@ class PrimeIdealData:
         return f"({self.p}, {poly_str(self.gen_poly)})"
 
 
-def dedekind_maximal(o: NumberFieldOrder, p: int) -> bool:
+def dedekind_maximal(o: NumberFieldOrder, p: int,
+                     factors: list | None = None) -> bool:
     """Dedekind's criterion: is Z[theta] maximal at p?
 
     With fbar = prod gbar_i^{e_i} mod p, lift the radical g* = prod g_i and
     the cofactor h* = fbar / g*; then T = (g* h* - f) / p is integral and
-    Z[theta] is p-maximal iff gcd(Tbar, g*, h*) = 1 in F_p[x].
+    Z[theta] is p-maximal iff gcd(Tbar, g*, h*) = 1 in F_p[x].  ``factors``
+    is modpoly.factor of f mod p, from a caller that has checked p and
+    factored f already; without it, both are done here.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     fbar = modpoly.normalize(o.poly, p)
-    factors = modpoly.factor(fbar, p)
+    if factors is None:
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        factors = modpoly.factor(fbar, p)
     g_rad = (1,)
     for g, _ in factors:
         g_rad = modpoly.mul(g_rad, g, p)
@@ -162,10 +174,10 @@ def factor_prime(o: NumberFieldOrder, p: int) -> tuple[PrimeIdealData, ...]:
     """
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if not dedekind_maximal(o, p):
+    factors = modpoly.factor(modpoly.normalize(o.poly, p), p)
+    if not dedekind_maximal(o, p, factors):
         raise NonMaximalOrder(
             f"Z[x]/({poly_str(o.poly)}) is not maximal at {p}")
-    factors = modpoly.factor(modpoly.normalize(o.poly, p), p)
     out = []
     for idx, (g, e) in enumerate(factors):
         out.append(PrimeIdealData(p=p, gen_poly=g, e=e,
@@ -306,6 +318,7 @@ def parse_ideal(o: NumberFieldOrder, text: str) -> FactoredIdeal:
         raise ParseError("empty ideal")
     exps: dict[tuple[int, int], int] = {}
     data: dict[tuple[int, int], PrimeIdealData] = {}
+    above_p: dict[int, tuple] = {}  # factor_prime, once per distinct p
     for raw in text.split(";"):
         term = raw.strip().replace(" ", "")
         m = _IDEAL_TERM_RE.match(term)
@@ -316,11 +329,13 @@ def parse_ideal(o: NumberFieldOrder, text: str) -> FactoredIdeal:
         except ValueError as exc:  # beyond Python's int-string digit limit
             raise ParseError(
                 "an integer in the ideal has too many digits") from exc
-        if not is_prime(p):
+        above = above_p.get(p)
+        if above is None and not is_prime(p):
             raise ParseError(f"{p} is not prime")
         if exp < 1:
             raise ParseError(f"exponent must be >= 1 in {raw.strip()!r}")
-        above = factor_prime(o, p)
+        if above is None:
+            above = above_p[p] = factor_prime(o, p)
         if idx >= len(above):
             raise NoSuchPrimeIndex(
                 f"only {len(above)} prime(s) above {p}, index {idx} "

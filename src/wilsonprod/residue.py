@@ -24,9 +24,20 @@ tables of the classes with x^2 = 1 mod P, marks the candidates (a square
 root of 1 mod a is one mod every P | a); only the candidates of each block
 are squared and tested for x^2 = 1 mod a.  A ring keeps no unit array:
 `units`, `principal_units` and the dump build the whole array only when
-they are called, so after a walk nothing the size of the ring is left, and
-its temporaries stay a few megabytes near the cap.
-A box of at most CHUNK positions is one block, multiplied as one tree.
+they are called.  A box of at most CHUNK positions is one block,
+multiplied as one tree.
+
+The masks and every block-sized array a walk writes are slots of one
+scratch pool that the process keeps (_Scratch, one per thread), so once a
+walk as large has run, a walk allocates only what numpy makes inside a
+call (the index array of each block's np.flatnonzero, _np_reduce's
+temporaries, the copy it makes of a tile whose source and destination
+interleave), which the allocator serves from memory it has kept: it
+faults in no fresh pages.  Each slot grows to the largest walk's need and
+never shrinks: two bytes per box position for the masks, and at degree d
+2d*CHUNK + (3d-1)*SPAN int64 entries for the blocks (the tiles of a mask
+borrow the blocks' memory), about 5 MB after the near-cap rings of degree
+2 to 6 that the benchmark verifies.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
 fold rows, and unit and root tables are built once per context, not once
@@ -38,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -65,6 +77,59 @@ CHUNK = 1 << 16
 # each block's units are multiplied down to this many columns before they
 # are multiplied into the running product
 FOLD = 1 << 10
+# the walk multiplies at most this many columns in one _np_mul call, which
+# bounds its work array to (3d-1)*SPAN int64 entries (a few hundred KB)
+SPAN = 1 << 13
+
+
+class _Scratch:
+    """Scratch buffers of the walks over the units, kept between walks.
+
+    Each slot is one flat int64 array, grown to the largest size a walk
+    has asked of it and never shrunk, so a walk no larger than one before
+    it writes its masks and blocks into pages that are already mapped.
+    The pool belongs to the process (one per thread, see _scratch), not to
+    a ring or an OrderContext: every CLI request and bare verify_ideal
+    makes a fresh context.  ``walks`` counts the unit masks built, so a
+    walk can tell when another one reused the pool while it was suspended.
+    """
+
+    def __init__(self):
+        self.bufs: dict = {}   # slot -> int64 array
+        self.bytes: dict = {}  # slot -> the same memory as bools
+        self.walks = 0
+
+    def take(self, slot: str, n: int) -> np.ndarray:
+        """A flat int64 array of ``n`` entries in ``slot``, its contents
+        undefined: it shares memory with what the slot handed out before."""
+        buf = self.bufs.get(slot)
+        if buf is None or len(buf) < n:
+            buf = self._grow(slot, n)
+        return buf[:n]
+
+    def take_bool(self, slot: str, n: int) -> np.ndarray:
+        """As take, for ``n`` bools."""
+        buf = self.bytes.get(slot)
+        if buf is None or len(buf) < n:
+            self._grow(slot, -(-n // 8))
+            buf = self.bytes[slot]
+        return buf[:n]
+
+    def _grow(self, slot: str, n: int) -> np.ndarray:
+        buf = self.bufs[slot] = np.empty(n, dtype=np.int64)
+        self.bytes[slot] = buf.view(bool)
+        return buf
+
+
+_THREAD = threading.local()
+
+
+def _scratch() -> _Scratch:
+    """This thread's scratch pool, made on first use."""
+    pool = getattr(_THREAD, "pool", None)
+    if pool is None:
+        pool = _THREAD.pool = _Scratch()
+    return pool
 
 
 class OrderContext:
@@ -303,25 +368,31 @@ class ResidueRing:
         decodes it CHUNK box positions at a time, one block per slice, and
         checks the count over all blocks against the closed form after the
         last one.  Every enumeration of the ring goes through here, once a
-        walk.  Raises RingTooLarge when the ring is beyond the int64 bound
-        of the kernels.
+        walk.  Mask and blocks live in the scratch pool: each block is
+        overwritten by the next, so a caller that keeps one copies it.
+        Raises RingTooLarge when the ring is beyond the int64 bound of the
+        kernels.
         """
         if not self._np_ok:
             raise RingTooLarge(
                 f"|o/a| = {self.size} is beyond the int64 enumeration "
                 f"bound (2d+4)*|o/a|^2 < 2^62 at degree {self.order.degree}")
-        mask = _np_unit_mask(
-            self.diag, [(pd.p, self.context.unit_table(pd, self.diag))
-                        for pd, _ in self.modulus.factors])
-        return self._unit_blocks(mask)
+        pool = _scratch()
+        mask = self._mask([self.context.unit_table(pd, self.diag)
+                           for pd, _ in self.modulus.factors],
+                          pool, "units mask")
+        pool.walks += 1
+        return self._unit_blocks(mask, pool, pool.walks)
 
-    def _unit_blocks(self, mask: np.ndarray) -> Iterator[np.ndarray]:
+    def _unit_blocks(self, mask: np.ndarray, pool: _Scratch,
+                     walk: int) -> Iterator[np.ndarray]:
         found = 0
         for s in range(0, len(mask), CHUNK):
-            idx = np.flatnonzero(mask[s:s + CHUNK])
-            if s:
-                idx += s
-            cols = _np_coords(idx, self.diag)
+            if pool.walks != walk:
+                raise InvariantViolation(
+                    f"a walk of {self} was resumed after another walk "
+                    f"reused its scratch buffers")
+            cols = self._decode(mask, s, pool, "units")
             found += cols.shape[1]
             yield cols
         if found != self.unit_count:
@@ -329,9 +400,30 @@ class ResidueRing:
                 f"{found} units enumerated in {self}, "
                 f"the closed form gives {self.unit_count}")
 
+    def _decode(self, mask: np.ndarray, s: int, pool: _Scratch,
+                slot: str) -> np.ndarray:
+        """The positions that ``mask`` marks among s .. s+CHUNK-1, as (d, k)
+        coordinate columns in ``slot`` of ``pool``."""
+        idx = np.flatnonzero(mask[s:s + CHUNK])
+        if s:
+            idx += s
+        d, k = len(self.diag), len(idx)
+        return _np_coords(idx, self.diag, pool.take(slot, d * k).reshape(d, k))
+
+    def _mask(self, tables: list, pool: _Scratch, slot: str) -> np.ndarray:
+        """_np_unit_mask of ``tables``, in ``slot`` of ``pool``.  The tiles
+        go to the slot of the unit blocks, which no walk uses before its
+        masks are made."""
+        tile = None
+        if len(tables) > 1:
+            tile = pool.take_bool("units", self.size)
+        return _np_unit_mask(self.diag, tables,
+                             pool.take_bool(slot, self.size), tile)
+
     def _unit_rows(self) -> np.ndarray:
         """Every unit as (count, d) rows in box order, in one array."""
-        return np.concatenate(list(self._units_array()), axis=1).T
+        return np.concatenate([cols.copy() for cols in self._units_array()],
+                              axis=1).T
 
     def units(self) -> list[ResidueElement]:
         """All units, in enumeration order; length is checked against
@@ -367,32 +459,44 @@ class ResidueRing:
         tree at the end.  Coefficients are reduced mod |o/a| after every
         multiplication and the product to its canonical representative.
         The census squares only the candidates of each block (see
-        _root_mask) and keeps those whose square is 1 mod a.
+        _root_mask) and keeps those whose square is 1 mod a.  Every array
+        the size of a block that the walk writes is a view of the scratch
+        pool.
         """
-        args = (self._np_red_rows(), self.size, self.order.degree,
-                self._defer_mod)
+        d = len(self.diag)
+        args = (self._np_red_rows(), self.size, d, self._defer_mod)
         # columns set to 1 until a block reaches them: a later block can
         # hold more units than the first
         acc = np.repeat(np.array(self._one_coeffs, dtype=np.int64)[:, None],
                         FOLD, axis=1) if self.size > CHUNK else None
         # the units first: _units_array refuses a ring beyond the int64 bound
         blocks = self._units_array()
+        pool = _scratch()
         sieve = self._root_mask() if census else None
         roots = []
         for s, cols in zip(itertools.count(0, CHUNK), blocks):
-            if census:
-                cands = cols if sieve is None else _np_coords(
-                    np.flatnonzero(sieve[s:s + CHUNK]) + s, self.diag)
-                sq = _np_mul(cands, cands, *args)
-                roots.append(cands[:, _np_reduce(sq, self.basis, self.size,
-                                                 self._one_coeffs)])
+            k = cols.shape[1]
+            cands = cols
+            if census and sieve is not None:
+                cands = self._decode(sieve, s, pool, "candidates")
+            kc = cands.shape[1] if census else 0
+            # one buffer for the census square, the fold and the product
+            # into the accumulator, SPAN columns at a time
+            span = min(SPAN, max(kc, k // 2, min(k, FOLD), 1))
+            work = pool.take("work", (3 * d - 1) * span)
+            for c in range(0, kc, span):
+                part = cands[:, c:c + span]
+                sq = _np_mul(part, part, *args, work=work)
+                roots.append(part[:, _np_reduce(sq, self.basis, self.size,
+                                                self._one_coeffs)])
             if acc is None:
-                col = _np_tree_product(cols, *args)
+                col = _np_tree_product(cols, *args, out=cols, work=work)
             else:
-                live = _np_fold(cols, FOLD, *args)
-                acc[:, :live] = _np_mul(acc[:, :live], cols[:, :live], *args)
+                live = _np_fold(cols, FOLD, *args, work=work)
+                low = acc[:, :live]
+                _np_mul(low, cols[:, :live], *args, out=low, work=work)
         if acc is not None:
-            col = _np_tree_product(acc, *args)
+            col = _np_tree_product(acc, *args, out=acc)
         product = self.reduce([int(c) for c in col])
         if not census:
             return product, None
@@ -412,11 +516,12 @@ class ResidueRing:
         if 2 * sum(math.prod(min(h, pd.p) for h in self.diag)
                    for pd in pds) > self.size:
             return None
-        tables = [(pd.p, ctx.root_table(pd, self.diag),
+        tables = [(ctx.root_table(pd, self.diag),
                    ctx.unit_table(pd, self.diag)) for pd in pds]
-        if all(roots is units for _, roots, units in tables):
+        if all(roots is units for roots, units in tables):
             return None
-        return _np_unit_mask(self.diag, [(p, roots) for p, roots, _ in tables])
+        return self._mask([roots for roots, _ in tables], _scratch(),
+                          "roots mask")
 
     def principal_units(self, j: int) -> list[ResidueElement]:
         """U_j = units congruent to 1 mod P^j, for a prime-power modulus P^n."""
@@ -490,19 +595,32 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 # 2-power-indexed — are done with shifts and masks.
 # ---------------------------------------------------------------------------
 
-def _np_mod(x: np.ndarray, m: int) -> np.ndarray:
+def _np_mod(x: np.ndarray, m: int,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """x mod m, in [0, m); into ``out`` when it is given, which may be ``x``
+    itself but must not overlap it otherwise."""
     if m & (m - 1) == 0:
-        return x & (m - 1)
-    # numpy divides by a scalar without a hardware division, which makes
-    # this about twice as fast as x % m
-    return x - x // m * m
+        return np.bitwise_and(x, m - 1, out=out)
+    if out is None:
+        # numpy divides by a scalar without a hardware division, which makes
+        # this about twice as fast as x % m
+        return x - x // m * m
+    if out is x:
+        return np.remainder(x, m, out=out)
+    np.floor_divide(x, m, out=out)
+    np.multiply(out, m, out=out)
+    return np.subtract(x, out, out=out)
 
 
-def _np_divmod(x: np.ndarray, m: int):
+def _np_divmod(x: np.ndarray, m: int, out=(None, None)):
+    """(x // m, x mod m), into the two arrays of ``out`` when they are
+    given; neither may overlap ``x``."""
+    q, r = out
     if m & (m - 1) == 0:
-        return x >> (m.bit_length() - 1), x & (m - 1)
-    q = x // m  # as in _np_mod
-    return q, x - q * m
+        return (np.right_shift(x, m.bit_length() - 1, out=q),
+                np.bitwise_and(x, m - 1, out=r))
+    q = np.floor_divide(x, m, out=q)  # as in _np_mod
+    return q, np.subtract(x, np.multiply(q, m, out=r), out=r)
 
 
 def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
@@ -539,72 +657,119 @@ def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
         rows = rows[1:]
         tail = np.array(basis[i][i + 1:], dtype=np.int64)
         if tail.any():
-            rows = rows - q[None, :] * tail[:, None]
+            prod = np.multiply(tail[:, None], q)
+            rows = np.subtract(rows, prod, out=prod)
     return np.arange(k) if idx is None else idx
 
 
-def _np_unit_mask(diag: Sequence[int],
-                  tables: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+def _np_unit_mask(diag: Sequence[int], tables: Sequence[np.ndarray],
+                  out: np.ndarray | None = None,
+                  tile: np.ndarray | None = None) -> np.ndarray:
     """Flat unit mask of the box prod [0, diag_i), in box order.
 
-    ``tables`` holds (p, OrderContext.unit_table) for each prime divisor P
-    of the modulus, the unit test of P on the small box
+    ``tables`` holds OrderContext.unit_table for each prime divisor P of
+    the modulus, the unit test of P on the small box
     prod [0, min(diag_i, p)); with root tables in their place the mask
     marks the census candidates.  Each table is tiled out to the full box
     with period p along each axis; no arithmetic runs over the full box.
+    The mask is written into ``out`` and the tables after the first are
+    tiled in ``tile``, flat bool arrays of the box's size, when they are
+    given.
     """
     # the mask keeps only the axes longer than 1: at most log2 |o/a| of
     # them, within numpy's 64 dimensions at any degree
     shape = tuple(h for h in diag if h > 1)
-    mask = np.ones(shape, dtype=bool)
-    for p, m in tables:
-        for i, h in enumerate(shape):
-            if h > p:
-                m = _np_periodic(m, i, h)
-        mask &= m
+    mask = np.empty(shape, dtype=bool) if out is None else out.reshape(shape)
+    if not tables:
+        mask.fill(True)
+    for i, m in enumerate(tables):
+        if not i:
+            _np_periodic(m, mask)
+        elif m.shape == shape:
+            mask &= m
+        else:
+            mask &= _np_periodic(m, np.empty(shape, dtype=bool)
+                                 if tile is None else tile.reshape(shape))
     return mask.reshape(-1)
 
 
-def _np_coords(idx: np.ndarray, diag: Sequence[int]) -> np.ndarray:
+def _np_coords(idx: np.ndarray, diag: Sequence[int],
+               out: np.ndarray | None = None) -> np.ndarray:
     """Flat box indices back to (d, count) coordinate columns, last
-    coordinate fastest (as np.unravel_index, at a third of its cost)."""
-    cols = np.zeros((len(diag), len(idx)), dtype=np.int64)
+    coordinate fastest (as np.unravel_index, at a third of its cost), into
+    ``out`` when it is given.  ``idx`` is overwritten: it holds the
+    quotients in turn with the first row of the columns."""
+    if out is None:
+        out = np.zeros((len(diag), len(idx)), dtype=np.int64)
+        zero = False
+    else:
+        zero = True
+    first = out[0]
+    x, spare = idx, first
     for i in range(len(diag) - 1, 0, -1):
         h = diag[i]
         if h > 1:
-            idx, cols[i] = _np_divmod(idx, h)
-    cols[0] = idx
-    return cols
+            _np_divmod(x, h, out=(spare, out[i]))
+            x, spare = spare, x
+        elif zero:
+            out[i] = 0
+    if x is not first:
+        first[...] = x
+    return out
 
 
-def _np_periodic(x: np.ndarray, axis: int, h: int) -> np.ndarray:
-    """``x`` repeated along ``axis`` up to length ``h``, by doubling copies."""
-    p = x.shape[axis]
-    shape = list(x.shape)
-    shape[axis] = h
-    out = np.empty(shape, dtype=x.dtype)
-    pre = (slice(None),) * axis
-    out[pre + (slice(0, p),)] = x
-    done = p
-    while done < h:
-        k = min(done, h - done)
-        out[pre + (slice(done, done + k),)] = out[pre + (slice(0, k),)]
-        done += k
+def _np_periodic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with ``x`` repeated along every axis, with period
+    x.shape[i] along axis i, by doubling copies within ``out``."""
+    if x.shape == out.shape:
+        out[...] = x
+        return out
+    region = [slice(0, p) for p in x.shape]
+    out[tuple(region)] = x
+    for axis, (p, h) in enumerate(zip(x.shape, out.shape)):
+        done = p
+        while done < h:
+            k = min(done, h - done)
+            region[axis] = slice(0, k)
+            src = tuple(region)
+            region[axis] = slice(done, done + k)
+            out[tuple(region)] = out[src]
+            done += k
+        region[axis] = slice(None)
     return out
 
 
 def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
-            n: int, d: int, defer_mod: bool) -> np.ndarray:
+            n: int, d: int, defer_mod: bool, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
     """Columnwise products mod the defining polynomial, coefficients mod n.
 
     ``a`` and ``b`` are (d, k): row i holds coefficient i of k elements.
     With ``defer_mod`` (proved safe at ring construction) the coefficient
     reduction happens once, after folding the high-degree rows; else the
-    convolution is reduced before folding as well.
+    convolution is reduced before folding as well.  The arithmetic runs in
+    ``work``, a flat int64 array (fresh when None), laid out as a
+    contiguous (3d-1, k) array, which keeps numpy on its fast path for
+    contiguous operands.  The products are left in its last d rows, and
+    copied to ``out`` when it is given, which may be ``a`` or ``b``:
+    returns ``out``, or else that view of ``work``.  A ``work`` of fewer
+    than (3d-1)*k entries is used for as many columns at a time as it
+    holds, and then ``out`` is needed.
     """
     k = a.shape[1]
-    c = np.empty((2 * d - 1, k), dtype=np.int64)
-    tmp = np.empty((d - 1, k), dtype=np.int64)
+    rows = 3 * d - 1
+    if work is None:
+        w = np.empty((rows, k), dtype=np.int64)
+    elif len(work) < rows * k:
+        span = len(work) // rows
+        for s in range(0, k, span):
+            _np_mul(a[:, s:s + span], b[:, s:s + span], red_rows, n, d,
+                    defer_mod, out[:, s:s + span], work)
+        return out
+    else:
+        w = work[:rows * k].reshape(rows, k)
+    c = w[:2 * d - 1]
+    tmp = w[2 * d - 1:3 * d - 2]
     np.multiply(a, b[0], out=c[:d])
     for j in range(1, d):
         # a * b[j] lands on rows j .. j+d-1; the last of them is new
@@ -612,8 +777,9 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
         c[j:j + d - 1] += tmp
         np.multiply(a[d - 1], b[j], out=c[j + d - 1])
     if not defer_mod:
-        c = _np_mod(c, n)
+        _np_mod(c, n, out=c)
     r = c[:d]
+    prod = w[2 * d - 1:]  # free once the convolution is done
     for t in range(d - 1):
         col = c[d + t]
         row = red_rows[t]
@@ -624,12 +790,16 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
             elif coef == -1:
                 r[m] -= col
             else:
-                r[m] += col * coef
-    return _np_mod(r, n)
+                r[m] += np.multiply(col, coef, out=prod[0])
+    _np_mod(r, n, out=prod)
+    if out is None:
+        return prod
+    out[...] = prod
+    return out
 
 
 def _np_fold(a: np.ndarray, width: int, red_rows: np.ndarray, n: int,
-             d: int, defer_mod: bool) -> int:
+             d: int, defer_mod: bool, work: np.ndarray | None = None) -> int:
     """Multiply the columns of a (d, count) array together in place, as a
     balanced tree, until at most ``width`` are left; returns how many.
 
@@ -637,20 +807,29 @@ def _np_fold(a: np.ndarray, width: int, red_rows: np.ndarray, n: int,
     half (or as many as bring the count down to ``width``) and keeps the
     products in the first columns, so every operand row is a contiguous
     slice; with an odd count the middle column waits for the next level.
+    ``work`` is _np_mul's (fresh, for count // 2 columns, when None).
     """
     live = a.shape[1]
+    if work is None and live > width:
+        work = np.empty((3 * d - 1) * (live // 2), dtype=np.int64)
     while live > width:
         h = min(live // 2, live - width)
-        a[:, :h] = _np_mul(a[:, :h], a[:, live - h:live], red_rows, n, d,
-                           defer_mod)
+        low = a[:, :h]
+        _np_mul(low, a[:, live - h:live], red_rows, n, d, defer_mod,
+                out=low, work=work)
         live -= h
     return live
 
 
 def _np_tree_product(units: np.ndarray, red_rows: np.ndarray, n: int,
-                     d: int, defer_mod: bool) -> np.ndarray:
+                     d: int, defer_mod: bool, out: np.ndarray | None = None,
+                     work: np.ndarray | None = None) -> np.ndarray:
     """Product of the columns of a nonempty (d, count) array, as a balanced
-    tree."""
-    a = units.copy(order="C")
-    _np_fold(a, 1, red_rows, n, d, defer_mod)
-    return a[:, 0]
+    tree.  The tree runs in ``out``, which may be ``units`` itself, or in a
+    copy of ``units`` when None; ``work`` is _np_fold's."""
+    if out is None:
+        out = units.copy(order="C")
+    elif out is not units:
+        out[...] = units
+    _np_fold(out, 1, red_rows, n, d, defer_mod, work)
+    return out[:, 0]

@@ -1,6 +1,7 @@
 """CLI subcommands driven through main(argv), checking text/json parity."""
 
 import json
+import time
 
 import pytest
 
@@ -49,6 +50,32 @@ def test_factor_rejects_composite_prime(capsys):
     code, out = run(capsys, "factor", "--poly", "x^2+1", "--prime", "6")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "not_prime"
+
+
+@pytest.mark.parametrize("argv,kind", [
+    # 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+    (("factor", "--poly", "x^2+1", "--prime", "318665857834031151167461"),
+     "not_prime"),
+    (("verify", "--poly", "x^2+1", "--ideal", "318665857834031151167461^1"),
+     "parse_error"),
+])
+def test_strong_pseudoprime_is_not_prime(argv, kind):
+    code, out = run_cli_bounded(*argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == kind
+
+
+@pytest.mark.parametrize("argv", [
+    ("factor", "--poly", "x^2+1", "--prime", str(10 ** 999 + 7)),
+    ("verify", "--poly", "x^2+1", "--ideal", f"{10 ** 999 + 7}^1"),
+])
+def test_prime_beyond_the_test_is_refused(capsys, argv):
+    # 10^999 + 7, a prime of 1,000 digits: refused before any work on it
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "prime_too_large"
 
 
 def test_bad_poly_is_parse_error(capsys):

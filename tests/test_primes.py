@@ -18,10 +18,12 @@ from wilsonprod.errors import (
     NormTooLarge,
     NotPrime,
     ParseError,
+    PrimeTooLarge,
     ZeroElement,
 )
 from wilsonprod.order import make_order
 from wilsonprod.primes import (
+    PRIME_MAX,
     dedekind_maximal,
     factor_element,
     factor_prime,
@@ -38,6 +40,26 @@ def test_is_prime():
         assert is_prime(n)
     for n in (0, 1, 4, 9, 91, 100001, 10 ** 12 + 1):
         assert not is_prime(n)
+
+
+def test_strong_pseudoprimes():
+    # the smallest strong pseudoprime to the bases 2..37
+    assert not is_prime(399165290221 * 798330580441)
+    # and to 2..41, where the test stops
+    assert PRIME_MAX == 1287836182261 * 2575672364521
+    with pytest.raises(PrimeTooLarge):
+        is_prime(PRIME_MAX)
+    assert not is_prime(PRIME_MAX - 1)
+
+
+def test_parse_ideal_factors_each_prime_once(zi, monkeypatch):
+    calls = []
+    factor = modpoly.factor
+    monkeypatch.setattr(modpoly, "factor",
+                        lambda f, p: calls.append(p) or factor(f, p))
+    a = parse_ideal(zi, "2^7; 5^2; 5^2@1; 13^1@1")
+    assert sorted(calls) == [2, 5, 13]
+    assert a.label() == "2^7; 5^2; 5^2@1; 13^1@1"
 
 
 def test_trial_factor():

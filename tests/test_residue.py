@@ -1,7 +1,11 @@
 """Residue rings and their unit groups, checked against hand-worked cases."""
 
 import functools
+import hashlib
+import json
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -625,3 +629,157 @@ def test_dump_shape(catalog):
     assert dump["units"] == [[1], [3]]
     assert dump["census"]["d2"] == 1
     assert dump["census"]["solutions"] == [[1], [3]]
+
+
+# -- the scratch pool --------------------------------------------------------
+
+def _garbage(rng, *shape):
+    return rng.integers(-2 ** 40, 2 ** 40, size=shape)
+
+
+@pytest.mark.parametrize("n", [1024, 999])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_kernels_into_scratch_match_fresh_arrays(d, n):
+    # each kernel writing into buffers of the pool, its output aliasing its
+    # first operand as the fold has it, against its fresh-array form; work
+    # buffers start out as garbage, as pool slots do
+    rng = np.random.default_rng(100 * d + n % 7)
+    k = 37
+    half = n // 2
+    red = rng.integers(-half, half + 1, size=(d - 1, d))
+    a = rng.integers(0, n, size=(d, k))
+    b = rng.integers(0, n, size=(d, k))
+    for defer in (True, False):
+        args = (red, n, d, defer)
+        want = residue._np_mul(a, b, *args)
+        got = a.copy()
+        residue._np_mul(got, b, *args, out=got,
+                        work=_garbage(rng, (3 * d - 1) * k))
+        assert np.array_equal(got, want), defer
+        # a work array for 5 of the 37 columns, as SPAN bounds the walk's
+        got = a.copy()
+        residue._np_mul(got, b, *args, out=got,
+                        work=_garbage(rng, (3 * d - 1) * 5 + 2))
+        assert np.array_equal(got, want), defer
+        # the census square is left in its work buffer
+        sq = residue._np_mul(b, b, *args, work=_garbage(rng, 3 * d * k))
+        assert np.array_equal(sq, residue._np_mul(b, b, *args)), defer
+
+        want = residue._np_tree_product(a, *args)
+        got = a.copy()
+        col = residue._np_tree_product(got, *args, out=got,
+                                       work=_garbage(rng, (3 * d - 1) * k))
+        assert np.array_equal(col, want), defer
+        assert np.array_equal(want, residue._np_tree_product(a, *args))
+
+        fresh = a.copy()
+        live = residue._np_fold(fresh, 5, *args)
+        for columns in (k, 3):
+            got = a.copy()
+            assert residue._np_fold(
+                got, 5, *args, work=_garbage(rng, (3 * d - 1) * columns)) \
+                == live
+            assert np.array_equal(got[:, :live], fresh[:, :live]), defer
+
+    x = rng.integers(-n * n, n * n, size=(d, k))
+    want = residue._np_mod(x, n)
+    assert np.array_equal(residue._np_mod(x, n, out=_garbage(rng, d, k)),
+                          want)
+    assert np.array_equal(residue._np_mod(x, n, out=x), want)
+    assert want.min() >= 0 and want.max() < n
+
+    x = rng.integers(0, n * n, size=k)
+    q, r = residue._np_divmod(x, n)
+    got = residue._np_divmod(x, n, out=(_garbage(rng, k), _garbage(rng, k)))
+    assert np.array_equal(got[0], q) and np.array_equal(got[1], r)
+    assert np.array_equal(q * n + r, x)
+
+    # axes of length 1 are left as zero rows in the pool's buffer too
+    diag = tuple(int(h) for h in rng.choice([1, 2, 3, 5, 6], size=d))
+    idx = rng.integers(0, math.prod(diag), size=k)
+    want = np.array(np.unravel_index(idx, diag))
+    assert np.array_equal(residue._np_coords(idx.copy(), diag), want)
+    got = residue._np_coords(idx.copy(), diag, out=_garbage(rng, d, k))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("diag,periods", [
+    ((35, 7), [(5, 5), (7, 7)]),       # an axis of 7 with period 5
+    ((9, 1, 27), [(3, 3)]),
+    ((4, 6, 10), [(2, 2, 2), (3, 3, 3), (4, 5, 5)]),
+    ((13,), [(13,)]),                  # no tiling
+])
+def test_unit_mask_into_scratch_matches_periodic_tables(diag, periods):
+    rng = np.random.default_rng(len(diag))
+    tables = [rng.random(p) < 0.7 for p in periods]
+    shape = tuple(h for h in diag if h > 1)
+    want = np.ones(shape, dtype=bool)
+    for m in tables:
+        want &= m[np.ix_(*(np.arange(h) % s
+                           for h, s in zip(shape, m.shape)))]
+    want = want.reshape(-1)
+    size = math.prod(diag)
+    out = np.ones(size, dtype=bool)
+    tile = rng.random(size) < 0.5
+    assert np.array_equal(residue._np_unit_mask(diag, tables), want)
+    assert np.array_equal(residue._np_unit_mask(diag, tables, out, tile),
+                          want)
+    assert np.array_equal(out, want)  # the mask is out itself
+
+
+def test_blocks_kept_past_the_next_block():
+    # 78,125 positions, two blocks: units(), principal_units() and the
+    # dump keep blocks past the next one, which the pool overwrites; the
+    # digests are of these outputs before the pool, and the one-block
+    # enumeration must give them too
+    o = make_order("x^2+1")
+    a = parse_ideal(o, "5^7")
+    ring = build_residue_ring(o, a)
+    assert ring.size > residue.CHUNK
+    units = [list(u.coeffs) for u in ring.units()]
+    principal = [[list(u.coeffs) for u in ring.principal_units(j)]
+                 for j in range(1, 8)]
+    dump = ring.to_dump_json()
+    assert [len(p) for p in principal] == [5 ** (7 - j) for j in range(1, 8)]
+    digest = {k: hashlib.sha256(json.dumps(v).encode()).hexdigest()[:16]
+              for k, v in (("units", units), ("principal", principal),
+                           ("dump", dump))}
+    assert digest == {"units": "d79badad051554d7",
+                      "principal": "eee918ac6d33111e",
+                      "dump": "c98b578f9cbe0fc2"}
+    one_block = build_residue_ring(o, a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue, "CHUNK", 1 << 40)
+        assert [list(u.coeffs) for u in one_block.units()] == units
+        assert one_block.to_dump_json() == dump
+
+
+def test_a_walk_refuses_to_resume_after_another_walk():
+    # a suspended walk whose buffers another walk has reused stops with a
+    # typed error instead of reading that walk's data
+    o = make_order("x^2+1")
+    ring = build_residue_ring(o, parse_ideal(o, "5^7"))
+    blocks = ring._units_array()
+    next(blocks)
+    ring.unit_product()
+    with pytest.raises(InvariantViolation):
+        next(blocks)
+
+
+def test_a_second_walk_allocates_no_block(monkeypatch):
+    # x^4+1 at 3^6@1: 531,441 positions in nine blocks; the first walk of
+    # a fresh pool fills it, the second finds every buffer there
+    monkeypatch.setattr(residue._THREAD, "pool", residue._Scratch())
+    o = make_order("x^4+1")
+    a = parse_ideal(o, "3^6@1")
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            res = verify_ideal(o, a)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.match and res.census.d2 == 1
+    assert peaks[0] < 8.2 * 2 ** 20, peaks
+    assert peaks[1] < 2 ** 20, peaks
