@@ -42,16 +42,17 @@ PRIME_MAX = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, for n < PRIME_MAX; PrimeTooLarge above,
-    where the fixed bases prove nothing."""
-    if n >= PRIME_MAX:
-        raise PrimeTooLarge(f"{magnitude(n)} is not below {PRIME_MAX}, the "
-                            f"bound of the primality test")
+    """Deterministic Miller-Rabin, for n < PRIME_MAX.  At or above it a
+    multiple of a base is still not prime; any other n raises
+    PrimeTooLarge, as the fixed bases prove nothing there."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n >= PRIME_MAX:
+        raise PrimeTooLarge(f"{magnitude(n)} is not below {PRIME_MAX}, the "
+                            f"bound of the primality test")
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -37,7 +37,8 @@ faults in no fresh pages.  Each slot grows to the largest walk's need and
 never shrinks: two bytes per box position for the masks, and at degree d
 2d*CHUNK + (3d-1)*SPAN int64 entries for the blocks (the tiles of a mask
 borrow the blocks' memory), about 5 MB after the near-cap rings of degree
-2 to 6 that the benchmark verifies.
+2 to 6 that the benchmark verifies.  Buffers under KEEP entries (256 KB)
+are made fresh and not kept, so small walks leave the pool empty.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
 fold rows, and unit and root tables are built once per context, not once
@@ -80,6 +81,11 @@ FOLD = 1 << 10
 # the walk multiplies at most this many columns in one _np_mul call, which
 # bounds its work array to (3d-1)*SPAN int64 entries (a few hundred KB)
 SPAN = 1 << 13
+# the scratch pool keeps no buffer of fewer int64 entries (256 KB): made
+# fresh, one that small comes from memory the allocator keeps and faults in
+# next to no pages, and kept, it would only add to what a process of small
+# walks holds
+KEEP = 1 << 15
 
 
 class _Scratch:
@@ -87,7 +93,9 @@ class _Scratch:
 
     Each slot is one flat int64 array, grown to the largest size a walk
     has asked of it and never shrunk, so a walk no larger than one before
-    it writes its masks and blocks into pages that are already mapped.
+    it writes its masks and blocks into pages that are already mapped.  A
+    request for fewer than KEEP entries gets a fresh array and leaves the
+    slot as it is.
     The pool belongs to the process (one per thread, see _scratch), not to
     a ring or an OrderContext: every CLI request and bare verify_ideal
     makes a fresh context.  ``walks`` counts the unit masks built, so a
@@ -102,6 +110,8 @@ class _Scratch:
     def take(self, slot: str, n: int) -> np.ndarray:
         """A flat int64 array of ``n`` entries in ``slot``, its contents
         undefined: it shares memory with what the slot handed out before."""
+        if n < KEEP:
+            return np.empty(n, dtype=np.int64)
         buf = self.bufs.get(slot)
         if buf is None or len(buf) < n:
             buf = self._grow(slot, n)
@@ -109,6 +119,8 @@ class _Scratch:
 
     def take_bool(self, slot: str, n: int) -> np.ndarray:
         """As take, for ``n`` bools."""
+        if n < 8 * KEEP:
+            return np.empty(n, dtype=bool)
         buf = self.bytes.get(slot)
         if buf is None or len(buf) < n:
             self._grow(slot, -(-n // 8))
@@ -595,21 +607,22 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 # 2-power-indexed — are done with shifts and masks.
 # ---------------------------------------------------------------------------
 
-def _np_mod(x: np.ndarray, m: int,
-            out: np.ndarray | None = None) -> np.ndarray:
+def _np_mod(x: np.ndarray, m: int, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
     """x mod m, in [0, m); into ``out`` when it is given, which may be ``x``
-    itself but must not overlap it otherwise."""
+    itself but must not overlap it otherwise.  The quotients go to the
+    first len(x) rows of ``work`` when it is given, else to ``out``, so
+    ``work`` is needed when ``out`` is ``x``."""
     if m & (m - 1) == 0:
         return np.bitwise_and(x, m - 1, out=out)
     if out is None:
         # numpy divides by a scalar without a hardware division, which makes
         # this about twice as fast as x % m
         return x - x // m * m
-    if out is x:
-        return np.remainder(x, m, out=out)
-    np.floor_divide(x, m, out=out)
-    np.multiply(out, m, out=out)
-    return np.subtract(x, out, out=out)
+    q = out if work is None else work[:len(x)]
+    np.floor_divide(x, m, out=q)
+    np.multiply(q, m, out=q)
+    return np.subtract(x, q, out=out)
 
 
 def _np_divmod(x: np.ndarray, m: int, out=(None, None)):
@@ -663,8 +676,7 @@ def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
 
 
 def _np_unit_mask(diag: Sequence[int], tables: Sequence[np.ndarray],
-                  out: np.ndarray | None = None,
-                  tile: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray, tile: np.ndarray | None) -> np.ndarray:
     """Flat unit mask of the box prod [0, diag_i), in box order.
 
     ``tables`` holds OrderContext.unit_table for each prime divisor P of
@@ -673,13 +685,13 @@ def _np_unit_mask(diag: Sequence[int], tables: Sequence[np.ndarray],
     marks the census candidates.  Each table is tiled out to the full box
     with period p along each axis; no arithmetic runs over the full box.
     The mask is written into ``out`` and the tables after the first are
-    tiled in ``tile``, flat bool arrays of the box's size, when they are
-    given.
+    tiled in ``tile``, flat bool arrays of the box's size; ``tile`` may be
+    None when there is at most one table.
     """
     # the mask keeps only the axes longer than 1: at most log2 |o/a| of
     # them, within numpy's 64 dimensions at any degree
     shape = tuple(h for h in diag if h > 1)
-    mask = np.empty(shape, dtype=bool) if out is None else out.reshape(shape)
+    mask = out.reshape(shape)
     if not tables:
         mask.fill(True)
     for i, m in enumerate(tables):
@@ -688,8 +700,7 @@ def _np_unit_mask(diag: Sequence[int], tables: Sequence[np.ndarray],
         elif m.shape == shape:
             mask &= m
         else:
-            mask &= _np_periodic(m, np.empty(shape, dtype=bool)
-                                 if tile is None else tile.reshape(shape))
+            mask &= _np_periodic(m, tile.reshape(shape))
     return mask.reshape(-1)
 
 
@@ -776,10 +787,12 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
         np.multiply(a[:d - 1], b[j], out=tmp)
         c[j:j + d - 1] += tmp
         np.multiply(a[d - 1], b[j], out=c[j + d - 1])
-    if not defer_mod:
-        _np_mod(c, n, out=c)
-    r = c[:d]
     prod = w[2 * d - 1:]  # free once the convolution is done
+    if not defer_mod:
+        # in place, d rows at a time, the quotients in prod
+        for s in range(0, 2 * d - 1, d):
+            _np_mod(c[s:s + d], n, out=c[s:s + d], work=prod)
+    r = c[:d]
     for t in range(d - 1):
         col = c[d + t]
         row = red_rows[t]
@@ -825,11 +838,9 @@ def _np_tree_product(units: np.ndarray, red_rows: np.ndarray, n: int,
                      d: int, defer_mod: bool, out: np.ndarray | None = None,
                      work: np.ndarray | None = None) -> np.ndarray:
     """Product of the columns of a nonempty (d, count) array, as a balanced
-    tree.  The tree runs in ``out``, which may be ``units`` itself, or in a
+    tree.  The tree runs in ``out``, which is ``units`` itself, or in a
     copy of ``units`` when None; ``work`` is _np_fold's."""
     if out is None:
         out = units.copy(order="C")
-    elif out is not units:
-        out[...] = units
     _np_fold(out, 1, red_rows, n, d, defer_mod, work)
     return out[:, 0]

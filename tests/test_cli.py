@@ -58,8 +58,12 @@ def test_factor_rejects_composite_prime(capsys):
      "not_prime"),
     (("verify", "--poly", "x^2+1", "--ideal", "318665857834031151167461^1"),
      "parse_error"),
+    # even, and above PRIME_MAX: a base divides it, which decides it
+    (("factor", "--poly", "x^2+1", "--prime", str(10 ** 30)), "not_prime"),
+    (("verify", "--poly", "x^2+1", "--ideal", f"{10 ** 30}^1"),
+     "parse_error"),
 ])
-def test_strong_pseudoprime_is_not_prime(argv, kind):
+def test_composites_are_not_prime(argv, kind):
     code, out = run_cli_bounded(*argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == kind

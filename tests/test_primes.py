@@ -50,6 +50,11 @@ def test_strong_pseudoprimes():
     with pytest.raises(PrimeTooLarge):
         is_prime(PRIME_MAX)
     assert not is_prime(PRIME_MAX - 1)
+    # a multiple of a base is decided at any size
+    assert not is_prime(10 ** 30)
+    assert not is_prime(41 * PRIME_MAX)
+    with pytest.raises(PrimeTooLarge):
+        is_prime(43 * PRIME_MAX)
 
 
 def test_parse_ideal_factors_each_prime_once(zi, monkeypatch):

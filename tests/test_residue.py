@@ -685,7 +685,8 @@ def test_kernels_into_scratch_match_fresh_arrays(d, n):
     want = residue._np_mod(x, n)
     assert np.array_equal(residue._np_mod(x, n, out=_garbage(rng, d, k)),
                           want)
-    assert np.array_equal(residue._np_mod(x, n, out=x), want)
+    assert np.array_equal(
+        residue._np_mod(x, n, out=x, work=_garbage(rng, d + 1, k)), want)
     assert want.min() >= 0 and want.max() < n
 
     x = rng.integers(0, n * n, size=k)
@@ -721,17 +722,19 @@ def test_unit_mask_into_scratch_matches_periodic_tables(diag, periods):
     size = math.prod(diag)
     out = np.ones(size, dtype=bool)
     tile = rng.random(size) < 0.5
-    assert np.array_equal(residue._np_unit_mask(diag, tables), want)
     assert np.array_equal(residue._np_unit_mask(diag, tables, out, tile),
                           want)
     assert np.array_equal(out, want)  # the mask is out itself
 
 
-def test_blocks_kept_past_the_next_block():
+@pytest.mark.parametrize("keep", [residue.KEEP, 0])
+def test_blocks_kept_past_the_next_block(monkeypatch, keep):
     # 78,125 positions, two blocks: units(), principal_units() and the
     # dump keep blocks past the next one, which the pool overwrites; the
     # digests are of these outputs before the pool, and the one-block
-    # enumeration must give them too
+    # enumeration must give them too.  The second block is too small for
+    # the pool to keep, so with keep = 0 the pool serves both blocks.
+    monkeypatch.setattr(residue, "KEEP", keep)
     o = make_order("x^2+1")
     a = parse_ideal(o, "5^7")
     ring = build_residue_ring(o, a)
