@@ -8,12 +8,15 @@ the brute-force side of the package, against which the closed-form
 classification in `wilson` is checked.
 
 Enumeration-heavy operations (unit listing, the all-units product, the
-square-roots-of-1 census) run on int64 numpy arrays; a worst-case bound
-checked at ring construction proves that no intermediate value can
-overflow, and enumerating a ring beyond it raises RingTooLarge.
-Coefficients are reduced modulo |o/a| between multiplications (|o/a|
-annihilates o/a, so this never changes a residue class), which is what
-keeps the bounds small.
+square-roots-of-1 census) run on numpy integer arrays.  Coefficients are
+reduced modulo the exponent e of o/a between multiplications: e is the
+least s > 0 with s*o inside a (p^ceil(m/e_P) for P^m, the lcm over the
+factors of a composite), so it kills o/a and reducing by it never changes
+a residue class.  It is at most |o/a| and often far smaller.  Each ring
+picks its lane once, on its first walk: int32 when (2d+4)*e^2 < 2^30, else
+int64 when (2d+4)*e^2 < 2^62; a worst-case bound (see the kernel section)
+proves that no intermediate value can overflow in that lane, and
+enumerating a ring beyond both raises RingTooLarge.
 
 The product and the census share one walk over the units.  It builds a
 flat unit mask of the box (one byte per element, tiled from small per-prime
@@ -34,11 +37,13 @@ call (the index array of each block's np.flatnonzero, _np_reduce's
 temporaries, the copy it makes of a tile whose source and destination
 interleave), which the allocator serves from memory it has kept: it
 faults in no fresh pages.  Each slot grows to the largest walk's need and
-never shrinks: two bytes per box position for the masks, and at degree d
-2d*CHUNK + (3d-1)*SPAN int64 entries for the blocks (the tiles of a mask
-borrow the blocks' memory), about 5 MB after the near-cap rings of degree
-2 to 6 that the benchmark verifies.  Buffers under KEEP entries (256 KB)
-are made fresh and not kept, so small walks leave the pool empty.
+never shrinks: one byte per box position for each of the two masks, and
+at degree d 8*((2d+1)*CHUNK + (3d-1)*SPAN) bytes for the blocks, the
+decoded indices and the products (the tiles of a mask borrow the blocks'
+memory).  An integer entry takes 8 bytes of its slot in either lane, so
+the lanes share the pool; an int32 walk writes half of those bytes.
+Buffers under KEEP bytes (256 KB) are made fresh and not kept, so small
+walks leave the pool empty.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
 fold rows, and unit and root tables are built once per context, not once
@@ -70,7 +75,10 @@ from .primes import FactoredIdeal, PrimeIdealData, uniformizer
 
 DEFAULT_CAP = 1 << 20
 
-_INT64_SAFE = 1 << 62
+# the kernels' lanes, narrowest first: (integer type, bound); a ring of
+# degree d and exponent e runs in the first lane with (2d+4)*e^2 and its
+# number of box positions under the bound (see the kernel section)
+_LANES = ((np.int32, 1 << 30), (np.int64, 1 << 62))
 
 # the walk over the units takes the box this many positions at a time,
 # which bounds its temporaries near the cap
@@ -79,13 +87,12 @@ CHUNK = 1 << 16
 # are multiplied into the running product
 FOLD = 1 << 10
 # the walk multiplies at most this many columns in one _np_mul call, which
-# bounds its work array to (3d-1)*SPAN int64 entries (a few hundred KB)
+# bounds its work array to (3d-1)*SPAN entries (a few hundred KB)
 SPAN = 1 << 13
-# the scratch pool keeps no buffer of fewer int64 entries (256 KB): made
-# fresh, one that small comes from memory the allocator keeps and faults in
-# next to no pages, and kept, it would only add to what a process of small
-# walks holds
-KEEP = 1 << 15
+# the scratch pool keeps no buffer of fewer bytes (256 KB): made fresh, one
+# that small comes from memory the allocator keeps and faults in next to no
+# pages, and kept, it would only add to what a process of small walks holds
+KEEP = 1 << 18
 
 
 class _Scratch:
@@ -93,9 +100,13 @@ class _Scratch:
 
     Each slot is one flat int64 array, grown to the largest size a walk
     has asked of it and never shrunk, so a walk no larger than one before
-    it writes its masks and blocks into pages that are already mapped.  A
-    request for fewer than KEEP entries gets a fresh array and leaves the
-    slot as it is.
+    it writes its masks and blocks into pages that are already mapped.  It
+    hands out int64, int32 and bool views of that memory.  An integer
+    request takes one 8-byte word per entry in either lane, so a walk of
+    one lane finds its room after a walk as large of the other (an int32
+    walk writes only the first half); a bool request takes one byte per
+    entry.  A request for fewer than KEEP bytes of the slot gets a fresh
+    array and leaves the slot as it is.
     The pool belongs to the process (one per thread, see _scratch), not to
     a ring or an OrderContext: every CLI request and bare verify_ideal
     makes a fresh context.  ``walks`` counts the unit masks built, so a
@@ -103,34 +114,21 @@ class _Scratch:
     """
 
     def __init__(self):
-        self.bufs: dict = {}   # slot -> int64 array
-        self.bytes: dict = {}  # slot -> the same memory as bools
+        self.bufs: dict = {}  # slot -> flat int64 array
         self.walks = 0
 
-    def take(self, slot: str, n: int) -> np.ndarray:
-        """A flat int64 array of ``n`` entries in ``slot``, its contents
-        undefined: it shares memory with what the slot handed out before."""
-        if n < KEEP:
-            return np.empty(n, dtype=np.int64)
+    def take(self, slot: str, n: int, dtype=np.int64) -> np.ndarray:
+        """A flat array of ``n`` entries of ``dtype`` in ``slot``, its
+        contents undefined: it shares memory with what the slot handed out
+        before."""
+        dtype = np.dtype(dtype)
+        words = -(-n // 8) if dtype == bool else n
+        if 8 * words < KEEP:
+            return np.empty(n, dtype=dtype)
         buf = self.bufs.get(slot)
-        if buf is None or len(buf) < n:
-            buf = self._grow(slot, n)
-        return buf[:n]
-
-    def take_bool(self, slot: str, n: int) -> np.ndarray:
-        """As take, for ``n`` bools."""
-        if n < 8 * KEEP:
-            return np.empty(n, dtype=bool)
-        buf = self.bytes.get(slot)
-        if buf is None or len(buf) < n:
-            self._grow(slot, -(-n // 8))
-            buf = self.bytes[slot]
-        return buf[:n]
-
-    def _grow(self, slot: str, n: int) -> np.ndarray:
-        buf = self.bufs[slot] = np.empty(n, dtype=np.int64)
-        self.bytes[slot] = buf.view(bool)
-        return buf
+        if buf is None or len(buf) < words:
+            buf = self.bufs[slot] = np.empty(words, dtype=np.int64)
+        return buf.view(dtype)[:n]
 
 
 _THREAD = threading.local()
@@ -142,6 +140,18 @@ def _scratch() -> _Scratch:
     if pool is None:
         pool = _THREAD.pool = _Scratch()
     return pool
+
+
+def _is_exponent(basis: list[list[int]], e: int, p: int) -> bool:
+    """Is the power ``e`` of ``p`` the least s > 0 with s*Z^d inside the
+    lattice?  The s that qualify are the multiples of that least one."""
+    d = len(basis)
+
+    def kills(s: int) -> bool:
+        return all(lattice.contains(basis, [s * (i == j) for j in range(d)])
+                   for i in range(d))
+
+    return kills(e) and (e == 1 or not kills(e // p))
 
 
 class OrderContext:
@@ -159,6 +169,8 @@ class OrderContext:
         self._bases: dict = {}
         self._pis: dict = {}
         self._tables: dict = {}
+        self._exponents: dict = {}
+        self._red_rows: dict = {}
 
     def basis(self, factors: tuple) -> list[list[int]]:
         """HNF basis of prod P^m over ``factors``, (PrimeIdealData, m) pairs.
@@ -166,7 +178,7 @@ class OrderContext:
         A composite basis is the comaximal product of the cached bases of
         its prefix and of its last factor: sweep_ideals yields every prefix
         before its extensions.  Each basis is checked once, when it is
-        made, for what the box representatives and the int64 bounds of the
+        made, for what the box representatives and the bounds of the
         rings rely on: every entry in [0, pivot), and the norm as index.
         """
         out = self._bases.get(factors)
@@ -191,6 +203,35 @@ class OrderContext:
             self._bases[factors] = out
         return out
 
+    def exponent(self, factors: tuple) -> int:
+        """The exponent e of o/prod P^m: the least s > 0 with s*Z^d inside
+        the lattice of basis(factors), which every pivot divides.
+
+        For P^m it is p^ceil(m/e_P), the least power of p in P^m, and it
+        is checked against the basis, once per (P, m): e*e_i lies in the
+        lattice for every i, and (e/p)*e_i does not for some i.  The
+        exponent of a comaximal product is the lcm of its parts', as the
+        product is their intersection.  Made when a ring first needs it,
+        so a ring that is never walked costs no check.
+        """
+        e = self._exponents.get(factors)
+        if e is None:
+            if len(factors) > 1:
+                e = math.lcm(self.exponent(factors[:-1]),
+                             self.exponent(factors[-1:]))
+            elif factors:
+                (pd, m), = factors
+                e = pd.p ** -(-m // pd.e)
+                basis = self.basis(factors)
+                if not _is_exponent(basis, e, pd.p):
+                    raise InvariantViolation(
+                        f"{e} is not the exponent of {self.order}/"
+                        f"({FactoredIdeal(factors).label()}), basis {basis}")
+            else:
+                e = 1
+            self._exponents[factors] = e
+        return e
+
     def uniformizer(self, pd: PrimeIdealData) -> OrderElement:
         pi = self._pis.get(pd)
         if pi is None:
@@ -207,14 +248,22 @@ class OrderContext:
             rows.append(rem + (0,) * (d - len(rem)))
         return rows
 
-    def red_rows(self, n: int) -> list[list[int]]:
-        """The fold rows as symmetric residues mod n.
+    def red_rows(self, n: int) -> np.ndarray:
+        """The fold rows as symmetric residues mod n, a (d-1, d) int64
+        array; cached per n.
 
         Only their residues mod n are ever used, and symmetric residues keep
-        the int64 bounds independent of the size of f's coefficients.
+        the kernels' bounds independent of the size of f's coefficients.
         """
-        half = n // 2
-        return [[(c + half) % n - half for c in row] for row in self.fold_rows]
+        rows = self._red_rows.get(n)
+        if rows is None:
+            half = n // 2
+            rows = np.array([[(c + half) % n - half for c in row]
+                             for row in self.fold_rows],
+                            dtype=np.int64).reshape(-1, self.order.degree)
+            rows.flags.writeable = False
+            self._red_rows[n] = rows
+        return rows
 
     def unit_table(self, pd: PrimeIdealData,
                    diag: Sequence[int]) -> np.ndarray:
@@ -247,18 +296,21 @@ class OrderContext:
         if table is None:
             p, d = pd.p, self.order.degree
             basis = self.basis(((pd, 1),))
+            n = math.prod(small)
+            # o/P has exponent p, which divides the exponent of every ring
+            # above P, so the lane of a ring that walks holds for the table
+            dtype = _lane(d, p, n)[0]
             if roots:
                 target = lattice.reduce_mod(basis, self.order.one.coeffs)
-                # coefficients mod p, which p*o in P allows; reducing before
-                # the fold keeps this within the bound of the rings above P
-                args = (np.array(self.red_rows(p), dtype=np.int64).reshape(
-                    -1, d), p, d, False)
+                # coefficients mod p, which p*o in P allows, reduced before
+                # the fold as well
+                args = (self.red_rows(p), p, d, False)
             else:
                 target = (0,) * d
-            n = int(np.prod(small))
             table = np.zeros(n, dtype=bool)
             for s in range(0, n, CHUNK):
-                box = _np_coords(np.arange(s, min(n, s + CHUNK)), small)
+                box = _np_coords(np.arange(s, min(n, s + CHUNK), dtype=dtype),
+                                 small)
                 if roots:
                     box = _np_mul(box, box, *args)
                 table[s + _np_reduce(box, basis, p, target)] = True
@@ -303,6 +355,14 @@ class Census(NamedTuple):
     product: "ResidueElement"
 
 
+class _Kernels(NamedTuple):
+    """How a ring's walks run the kernels (see ResidueRing._kernels)."""
+
+    dtype: type
+    red_rows: np.ndarray
+    defer_mod: bool
+
+
 class ResidueRing:
     """o/a for a nonzero ideal a of an order o, within the enumeration cap;
     rings of one order and modulus are equal (the HNF basis is canonical)."""
@@ -319,8 +379,6 @@ class ResidueRing:
         for pd, m in modulus.factors:
             q = pd.p ** pd.f
             self.unit_count *= q ** (m - 1) * (q - 1)
-        self._red_rows = context.red_rows(self.size)
-        self._np_ok = self._bounds_allow_int64()
         # coefficients, not a ResidueElement: an element refers back to its
         # ring, and that cycle would leave a dropped ring to the cyclic GC
         self._one_coeffs = lattice.reduce_mod(self.basis, o.one.coeffs)
@@ -334,17 +392,38 @@ class ResidueRing:
 
     # -- plumbing ------------------------------------------------------------
 
-    def _bounds_allow_int64(self) -> bool:
-        n = self.size
+    @functools.cached_property
+    def exponent(self) -> int:
+        """The exponent e of o/a, the modulus of the kernels' coefficients
+        (see OrderContext.exponent)."""
+        return self.context.exponent(tuple(self.modulus.factors))
+
+    @functools.cached_property
+    def _kernels(self) -> _Kernels | None:
+        """The kernels' setting: the narrowest lane whose bound holds, the
+        fold rows mod e, and whether _np_mul may defer its coefficient
+        reduction past the fold in that lane; None beyond every lane.
+        Chosen on first use, so a ring that only evaluates a witness never
+        pays for it."""
+        e = self.exponent
         d = self.order.degree
-        s = max(1 + sum(abs(row[m]) for row in self._red_rows)
-                for m in range(d))
+        lane = _lane(d, e, self.size)
+        if lane is None:
+            return None
+        dtype, safe = lane
+        rows = self.context.red_rows(e)
+        s = 1 + int(np.abs(rows).sum(axis=0).max())
         # with "defer", coefficients are reduced only after the high-degree
         # columns of the convolution are folded back in
-        self._defer_mod = d * n * n * s < _INT64_SAFE
-        # fold row entries are at most n/2 in size, so n*s < (2d+4)*n^2 and
-        # this one bound covers every kernel
-        return (2 * d + 4) * n * n < _INT64_SAFE
+        return _Kernels(dtype, rows, d * e * e * s < safe)
+
+    @property
+    def _np_ok(self) -> bool:
+        return self._kernels is not None
+
+    @property
+    def _defer_mod(self) -> bool:
+        return self._np_ok and self._kernels.defer_mod
 
     @property
     def one(self) -> ResidueElement:
@@ -387,8 +466,9 @@ class ResidueRing:
         """
         if not self._np_ok:
             raise RingTooLarge(
-                f"|o/a| = {self.size} is beyond the int64 enumeration "
-                f"bound (2d+4)*|o/a|^2 < 2^62 at degree {self.order.degree}")
+                f"|o/a| = {self.size} of exponent {self.exponent} is beyond "
+                f"the int64 enumeration bound (2d+4)*e^2 < 2^62 at degree "
+                f"{self.order.degree}")
         pool = _scratch()
         mask = self._mask([self.context.unit_table(pd, self.diag)
                            for pd, _ in self.modulus.factors],
@@ -417,10 +497,17 @@ class ResidueRing:
         """The positions that ``mask`` marks among s .. s+CHUNK-1, as (d, k)
         coordinate columns in ``slot`` of ``pool``."""
         idx = np.flatnonzero(mask[s:s + CHUNK])
-        if s:
-            idx += s
         d, k = len(self.diag), len(idx)
-        return _np_coords(idx, self.diag, pool.take(slot, d * k).reshape(d, k))
+        dtype = self._kernels.dtype
+        if idx.dtype != dtype:
+            # one cast into the ring's lane, so that every division of the
+            # decode runs in it
+            idx = np.add(idx, s, out=pool.take("index", k, dtype),
+                         casting="unsafe")
+        elif s:
+            idx += s
+        cols = pool.take(slot, d * k, dtype).reshape(d, k)
+        return _np_coords(idx, self.diag, cols)
 
     def _mask(self, tables: list, pool: _Scratch, slot: str) -> np.ndarray:
         """_np_unit_mask of ``tables``, in ``slot`` of ``pool``.  The tiles
@@ -428,9 +515,9 @@ class ResidueRing:
         masks are made."""
         tile = None
         if len(tables) > 1:
-            tile = pool.take_bool("units", self.size)
+            tile = pool.take("units", self.size, bool)
         return _np_unit_mask(self.diag, tables,
-                             pool.take_bool(slot, self.size), tile)
+                             pool.take(slot, self.size, bool), tile)
 
     def _unit_rows(self) -> np.ndarray:
         """Every unit as (count, d) rows in box order, in one array."""
@@ -468,21 +555,24 @@ class ResidueRing:
         A box of one block is multiplied out as one balanced tree.  Else
         each block is folded in place down to FOLD columns and multiplied
         into an accumulator of FOLD columns, which is multiplied out as a
-        tree at the end.  Coefficients are reduced mod |o/a| after every
-        multiplication and the product to its canonical representative.
+        tree at the end.  Coefficients are reduced mod the exponent e of
+        o/a after every multiplication and the product to its canonical
+        representative.
         The census squares only the candidates of each block (see
         _root_mask) and keeps those whose square is 1 mod a.  Every array
         the size of a block that the walk writes is a view of the scratch
         pool.
         """
         d = len(self.diag)
-        args = (self._np_red_rows(), self.size, d, self._defer_mod)
-        # columns set to 1 until a block reaches them: a later block can
-        # hold more units than the first
-        acc = np.repeat(np.array(self._one_coeffs, dtype=np.int64)[:, None],
-                        FOLD, axis=1) if self.size > CHUNK else None
         # the units first: _units_array refuses a ring beyond the int64 bound
         blocks = self._units_array()
+        e = self.exponent
+        dtype, rows, defer_mod = self._kernels
+        args = (rows, e, d, defer_mod)
+        # columns set to 1 until a block reaches them: a later block can
+        # hold more units than the first
+        acc = np.repeat(np.array(self._one_coeffs, dtype=dtype)[:, None],
+                        FOLD, axis=1) if self.size > CHUNK else None
         pool = _scratch()
         sieve = self._root_mask() if census else None
         roots = []
@@ -495,11 +585,11 @@ class ResidueRing:
             # one buffer for the census square, the fold and the product
             # into the accumulator, SPAN columns at a time
             span = min(SPAN, max(kc, k // 2, min(k, FOLD), 1))
-            work = pool.take("work", (3 * d - 1) * span)
+            work = pool.take("work", (3 * d - 1) * span, dtype)
             for c in range(0, kc, span):
                 part = cands[:, c:c + span]
                 sq = _np_mul(part, part, *args, work=work)
-                roots.append(part[:, _np_reduce(sq, self.basis, self.size,
+                roots.append(part[:, _np_reduce(sq, self.basis, e,
                                                 self._one_coeffs)])
             if acc is None:
                 col = _np_tree_product(cols, *args, out=cols, work=work)
@@ -543,18 +633,13 @@ class ResidueRing:
         if not 1 <= j <= n:
             raise JOutOfRange(f"j must be in [1, {n}], got {j}")
         pj = self.context.basis(((pd, j),))
-        shift = pd.p ** (j * pd.f)
+        # the exponent of o/P^j divides e, so the walk's bound covers it
+        shift = self.context.exponent(((pd, j),))
         rows = self._unit_rows()
         one_mod_pj = lattice.reduce_mod(pj, self.order.one.coeffs)
         hits = _np_reduce(rows.T, pj, shift, one_mod_pj)
         return [ResidueElement(self, tuple(row))
                 for row in rows[hits].tolist()]
-
-    # -- numpy helpers -------------------------------------------------------
-
-    def _np_red_rows(self) -> np.ndarray:
-        return np.array(self._red_rows, dtype=np.int64).reshape(
-            -1, self.order.degree)
 
     # -- output --------------------------------------------------------------
 
@@ -574,6 +659,16 @@ class ResidueRing:
 
     def __str__(self) -> str:
         return f"{self.order}/({self.modulus.label()})"
+
+
+def _lane(d: int, e: int, size: int) -> tuple | None:
+    """(integer type, bound) of the narrowest lane in which the kernels
+    may run for a ring of degree d and exponent e with ``size`` box
+    positions, or None beyond every lane."""
+    for dtype, safe in _LANES:
+        if (2 * d + 4) * e * e < safe and size < safe:
+            return dtype, safe
+    return None
 
 
 def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
@@ -597,14 +692,30 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 
 
 # ---------------------------------------------------------------------------
-# int64 kernels.  Preconditions (checked via _bounds_allow_int64): operand
-# coefficients lie in [0, N); N is the ring size; every basis entry lies in
-# [0, pivot) (checked where OrderContext makes the basis); the lattice shift
-# trick (adding multiples of s*e_i, legal whenever s*Z^d is inside the
-# lattice) keeps every intermediate below the asserted bounds.  The kernels
-# take elements as (d, count) columns, each coefficient one contiguous row.
-# Divisions by powers of two — the common case, every lattice above 2 being
-# 2-power-indexed — are done with shifts and masks.
+# Kernels.  They run in the integer type of their operands, the ring's lane:
+# int32 when (2d+4)*e^2 < 2^30, else int64 when (2d+4)*e^2 < 2^62, where e
+# is the exponent of o/a (the least s > 0 with s*Z^d inside the lattice,
+# which every pivot divides) and the box has fewer positions than the same
+# bound, so that a flat box index fits the lane too.  Preconditions:
+# operand coefficients lie in [0, e); every basis entry lies in [0, pivot)
+# (checked where OrderContext makes the basis); fold rows are symmetric
+# residues mod e, at most e/2 in size.  Then in either lane:
+#   _np_mul: every convolution sum is below d*e^2.  With defer_mod, chosen
+#     only when d*e^2*s is under the lane's bound (s = 1 + the largest
+#     column sum of the |fold rows|), the folded sums stay below d*e^2*s;
+#     without it they are reduced to [0, e) first and the fold stays
+#     within e + (d-1)*e^2/2.  _np_fold and _np_tree_product only call it.
+#   _np_reduce: columns in [0, e) and a shift of at most e (e itself in
+#     the census, the exponent of P^j, a divisor of e, in principal_units)
+#     keep every carried value within d*e^2 (see its docstring).
+#   _np_mod, _np_divmod: a quotient times the modulus is within the value
+#     plus the modulus.
+# So every intermediate is within (2d+4)*e^2, under the lane's bound.  The
+# per-prime tables run the same kernels on o/P, whose exponent p divides e,
+# in the lane of (2d+4)*p^2.  The kernels take elements as (d, count)
+# columns, each coefficient one contiguous row.  Divisions by powers of
+# two, the common case (every lattice above 2 is 2-power-indexed), are
+# done with shifts and masks.
 # ---------------------------------------------------------------------------
 
 def _np_mod(x: np.ndarray, m: int, out: np.ndarray | None = None,
@@ -648,10 +759,11 @@ def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
     lattice, so every pivot divides ``shift``, and ``target`` must be a box
     representative.  A coordinate whose pivot is 1 is never updated (the
     basis entries above a pivot of 1 are 0), so it still holds its input
-    value.  Bound: with the columns in [0, N), N >= shift, every quotient
-    in [0, N) and every basis entry in [0, pivot), a carried value stays
-    within N + (d-1)*N*shift <= d*N^2 in size, inside the int64 bound
-    (2d+4)*|o/a|^2 < 2^62 for N = |o/a|.  ``vecs`` is not written to.
+    value.  Bound: with the columns in [0, N), every quotient in
+    [0, shift) and every basis entry in [0, pivot), below shift, a carried
+    value stays within N + (d-1)*shift^2 in size: within d*e^2 when N and
+    shift are at most the ring's exponent e, inside the bound (2d+4)*e^2
+    of either lane.  ``vecs`` is not written to.
     """
     d, k = vecs.shape
     rows = vecs  # coordinates i.. of the surviving columns
@@ -668,7 +780,7 @@ def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
             break
         q = rows[0] if h == 1 else _np_divmod(_np_mod(rows[0], shift), h)[0]
         rows = rows[1:]
-        tail = np.array(basis[i][i + 1:], dtype=np.int64)
+        tail = np.array(basis[i][i + 1:], dtype=rows.dtype)
         if tail.any():
             prod = np.multiply(tail[:, None], q)
             rows = np.subtract(rows, prod, out=prod)
@@ -711,7 +823,7 @@ def _np_coords(idx: np.ndarray, diag: Sequence[int],
     ``out`` when it is given.  ``idx`` is overwritten: it holds the
     quotients in turn with the first row of the columns."""
     if out is None:
-        out = np.zeros((len(diag), len(idx)), dtype=np.int64)
+        out = np.zeros((len(diag), len(idx)), dtype=idx.dtype)
         zero = False
     else:
         zero = True
@@ -731,13 +843,16 @@ def _np_coords(idx: np.ndarray, diag: Sequence[int],
 
 def _np_periodic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out`` filled with ``x`` repeated along every axis, with period
-    x.shape[i] along axis i, by doubling copies within ``out``."""
+    x.shape[i] along axis i, by doubling copies within ``out``.  The last
+    (innermost) axis is tiled first, so each later axis copies whole runs
+    of the axes inside it."""
     if x.shape == out.shape:
         out[...] = x
         return out
     region = [slice(0, p) for p in x.shape]
     out[tuple(region)] = x
-    for axis, (p, h) in enumerate(zip(x.shape, out.shape)):
+    for axis in reversed(range(x.ndim)):
+        p, h = x.shape[axis], out.shape[axis]
         done = p
         while done < h:
             k = min(done, h - done)
@@ -759,9 +874,9 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
     With ``defer_mod`` (proved safe at ring construction) the coefficient
     reduction happens once, after folding the high-degree rows; else the
     convolution is reduced before folding as well.  The arithmetic runs in
-    ``work``, a flat int64 array (fresh when None), laid out as a
-    contiguous (3d-1, k) array, which keeps numpy on its fast path for
-    contiguous operands.  The products are left in its last d rows, and
+    ``work``, a flat array of the operands' type (fresh when None), laid
+    out as a contiguous (3d-1, k) array, which keeps numpy on its fast path
+    for contiguous operands.  The products are left in its last d rows, and
     copied to ``out`` when it is given, which may be ``a`` or ``b``:
     returns ``out``, or else that view of ``work``.  A ``work`` of fewer
     than (3d-1)*k entries is used for as many columns at a time as it
@@ -770,7 +885,7 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
     k = a.shape[1]
     rows = 3 * d - 1
     if work is None:
-        w = np.empty((rows, k), dtype=np.int64)
+        w = np.empty((rows, k), dtype=a.dtype)
     elif len(work) < rows * k:
         span = len(work) // rows
         for s in range(0, k, span):
@@ -824,7 +939,7 @@ def _np_fold(a: np.ndarray, width: int, red_rows: np.ndarray, n: int,
     """
     live = a.shape[1]
     if work is None and live > width:
-        work = np.empty((3 * d - 1) * (live // 2), dtype=np.int64)
+        work = np.empty((3 * d - 1) * (live // 2), dtype=a.dtype)
     while live > width:
         h = min(live // 2, live - width)
         low = a[:, :h]

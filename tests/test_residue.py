@@ -1,5 +1,6 @@
 """Residue rings and their unit groups, checked against hand-worked cases."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -9,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wilsonprod import lattice, make_order, residue
@@ -153,13 +154,17 @@ def test_two_builds_of_one_ring_are_equal(catalog):
 
 
 def test_non_deferred_reduction():
-    # the fold rows of this f have large residues mod |o/a| = 937,024, which
-    # leaves too little int64 room to defer the coefficient reduction past
-    # the fold, so _np_mul reduces before the fold as well
+    # the fold rows of this f have large residues mod the exponent of o/a
+    # (565 and 842,837, each |o/a| itself), which leaves too little room in
+    # the ring's lane to defer the coefficient reduction past the fold, so
+    # _np_mul reduces before the fold as well; one ring in each lane
     o = make_order("x^8+123456789x^3+1")
-    res = verify_ideal(o, parse_ideal(o, "2^2; 11^4@1"))
-    assert res.ring._np_ok and not res.ring._defer_mod
-    assert res.match and res.census.d2 == 4
+    for label, lane, d2 in (("5^1; 113^1", np.int32, 2),
+                            ("41^1@1; 61^1@1; 337^1@2", np.int64, 3)):
+        res = verify_ideal(o, parse_ideal(o, label))
+        assert res.ring._kernels.dtype is lane, label
+        assert res.ring._np_ok and not res.ring._defer_mod, label
+        assert res.match and res.census.d2 == d2, label
 
 
 # -- the shared context and the comaximal product ------------------------------
@@ -475,10 +480,10 @@ def test_unit_group_orders_multiply(catalog):
             assert power == ring.one
 
 
-# -- int64 kernels vs. the scalar ring API -----------------------------------
+# -- the kernels vs. the scalar ring API --------------------------------------
 
 def test_python_fallback_agrees(catalog):
-    # the int64 kernels against a pure-Python reference built only from the
+    # the kernels against a pure-Python reference built only from the
     # scalar ring API (elements, is_unit, mul); prime powers, composites whose size is not a power of two (the
     # general modulus path of the kernels) and quartic rings; unit counts
     # that are not powers of two leave an odd column at some tree level;
@@ -518,7 +523,7 @@ def test_chunked_enumeration_matches_one_pass(monkeypatch, poly, label,
     ring = build_residue_ring(o, parse_ideal(o, label))
     cols = ring._unit_rows().T
     whole = residue._np_tree_product(
-        cols, ring._np_red_rows(), ring.size, o.degree, ring._defer_mod)
+        cols, ring._kernels.red_rows, ring.exponent, o.degree, ring._defer_mod)
     assert ring.unit_product() == ring.reduce([int(c) for c in whole])
     census = ring.order2_census()
     assert census.product == ring.unit_product()
@@ -606,18 +611,31 @@ def test_census_kernel_matches_lattice_membership(basis, rnd):
     assert cols.T.tolist() == vecs  # the input is left as it was
 
 
-def test_enumeration_beyond_int64_bound_is_refused(catalog):
+def test_enumeration_beyond_int64_bound_is_refused(catalog, monkeypatch):
+    # 5 splits in Z[i], so the exponent of o/P^13 is its norm 5^13 and
+    # (2d+4)*e^2 = 8*5^26 is beyond 2^62
     o = catalog["gaussian"]
-    ring = build_residue_ring(o, parse_ideal(o, "2^31"), cap=1 << 40)
+    ring = build_residue_ring(o, parse_ideal(o, "5^13"), cap=1 << 40)
+    assert ring.exponent == ring.size == 5 ** 13 and not ring._np_ok
+
+    def no_mask(*args):
+        raise AssertionError("a mask of the box was made")
+
+    monkeypatch.setattr(residue, "_np_unit_mask", no_mask)
+    monkeypatch.setattr(residue, "_np_periodic", no_mask)
     with pytest.raises(RingTooLarge):
         ring.unit_product()
-    with pytest.raises(RingTooLarge):  # before any mask of the box is made
+    with pytest.raises(RingTooLarge):
         ring.order2_census()
+    with pytest.raises(RingTooLarge):
+        ring.units()
 
 
 def test_classify_beyond_int64_bound_has_a_witness(catalog):
+    # the exponent of this ring is 5^13, as in the test above
     o = catalog["gaussian"]
-    res = classify_global(o, parse_ideal(o, "2^31"), cap=1 << 40)
+    res = classify_global(o, parse_ideal(o, "5^13; 5^1@1"), cap=1 << 40)
+    assert not res.witness.ring._np_ok
     assert res.kind is ProductClass.ONE
     assert res.witness == res.witness.ring.one
 
@@ -709,6 +727,10 @@ def test_kernels_into_scratch_match_fresh_arrays(d, n):
     ((9, 1, 27), [(3, 3)]),
     ((4, 6, 10), [(2, 2, 2), (3, 3, 3), (4, 5, 5)]),
     ((13,), [(13,)]),                  # no tiling
+    # four axes, about 1M positions, as at the cap; 5 divides no axis
+    ((12, 12, 84, 84), [(2, 2, 2, 2), (3, 3, 3, 3), (7, 7, 7, 7)]),
+    ((12, 12, 84, 84), [(5, 5, 5, 5)]),
+    ((3, 12, 5, 84), [(3, 4, 5, 7), (2, 2, 2, 2)]),
 ])
 def test_unit_mask_into_scratch_matches_periodic_tables(diag, periods):
     rng = np.random.default_rng(len(diag))
@@ -772,7 +794,8 @@ def test_a_walk_refuses_to_resume_after_another_walk():
 def test_a_second_walk_allocates_no_block(monkeypatch):
     # x^4+1 at 3^6@1: 531,441 positions in nine blocks; the first walk of
     # a fresh pool fills it, the second finds every buffer there
-    monkeypatch.setattr(residue._THREAD, "pool", residue._Scratch())
+    monkeypatch.setattr(residue._THREAD, "pool", residue._Scratch(),
+                        raising=False)
     o = make_order("x^4+1")
     a = parse_ideal(o, "3^6@1")
     peaks = []
@@ -785,4 +808,145 @@ def test_a_second_walk_allocates_no_block(monkeypatch):
             tracemalloc.stop()
         assert res.match and res.census.d2 == 1
     assert peaks[0] < 8.2 * 2 ** 20, peaks
+    assert peaks[1] < 2 ** 20, peaks
+
+
+# -- the two lanes ------------------------------------------------------------
+
+LANES = residue._LANES
+
+
+def _only(lane):
+    """The lanes with ``lane`` alone, which forces a ring into it."""
+    return tuple(entry for entry in LANES if entry[0] is lane)
+
+
+def _walk_outputs(o, label, lane, full):
+    """What a ring forced into ``lane`` enumerates: its product, census and
+    units, its principal units (every j when ``full``, else the first and
+    last) and, when ``full``, its dump."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(residue, "_LANES", _only(lane))
+        ring = build_residue_ring(o, parse_ideal(o, label))
+        assert ring._np_ok and ring._kernels.dtype is lane
+        census = ring.order2_census()
+        out = {"product": ring.unit_product().coeffs,
+               "census": (census.count, census.d2, census.product.coeffs,
+                          [x.coeffs for x in census.elements]),
+               "units": [x.coeffs for x in ring.units()] if full
+               else hashlib.sha256(
+                   ring._unit_rows().astype(np.int64).tobytes()).digest()}
+        if len(ring.modulus.factors) == 1:
+            n = ring.modulus.factors[0][1]
+            out["principal"] = [[x.coeffs for x in ring.principal_units(j)]
+                                for j in (range(1, n + 1) if full
+                                          else sorted({1, n}))]
+        if full:
+            out["dump"] = ring.to_dump_json()
+        return out
+
+
+LANE_ORDERS = {name: make_order(poly) for name, poly in CATALOG_POLYS.items()}
+SMALL_IDEALS = sorted((name, a.label()) for name, o in LANE_ORDERS.items()
+                      for a in sweep_ideals(o, (1 << 14) - 1))
+
+
+@given(st.sampled_from(SMALL_IDEALS))
+@settings(max_examples=40, deadline=None)
+def test_both_lanes_enumerate_alike(case):
+    name, label = case
+    o = LANE_ORDERS[name]
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    assume(ring._kernels.dtype is np.int32)
+    assert _walk_outputs(o, label, np.int32, True) == \
+        _walk_outputs(o, label, np.int64, True)
+
+
+# the verify rings of the benchmark's cli-requests workload that run in
+# int32, one of each family of equal cost
+CLI_INT32_RINGS = (
+    ("x^6+x^3+1", "13^1"), ("x^4+1", "7^3@1"), ("x^4+1", "3^5"),
+    ("x^4+1", "3^6@1"), ("x^4+1", "5^4"), ("x^4+1", "13^2"),
+    ("x^4+1", "2^2; 3^1@1; 13^1; 13^1@1"), ("x^4+1", "2^1; 5^1; 11^1; 13^1"),
+    ("x^4+1", "2^2; 3^1@1; 13^2@1"), ("x^4+1", "2^8; 3^2@1; 7^1@1"),
+    ("x^4+1", "2^8; 3^1; 3^1@1; 7^1"), ("x^2+1", "7^3"), ("x^2+1", "3^6"),
+    ("x^2+1", "2^7; 5^2; 5^2@1; 13^1@1"), ("x^2+1", "5^3; 7^1; 13^1; 13^1@1"),
+    ("x^2-2", "5^4"), ("x^2-2", "3^6"), ("x^2-2", "3^5"),
+    ("x^2-2", "5^1; 7^1; 7^2@1; 11^1"), ("x^2-2", "2^2; 3^1; 13^2"),
+    ("x^2-2", "2^1; 3^1; 7^2; 7^1@1; 13^1"), ("x^2+x+1", "2^8"),
+    ("x^2+x+1", "5^4"), ("x^2+x+1", "2^2; 3^3; 7^2; 7^2@1"),
+    ("x^2+x+1", "5^1; 7^2; 7^1@1; 11^1"),
+)
+
+
+@pytest.mark.parametrize("poly,label", CLI_INT32_RINGS)
+def test_both_lanes_enumerate_cli_rings_alike(poly, label):
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    assert ring._kernels.dtype is np.int32
+    assert _walk_outputs(o, label, np.int32, False) == \
+        _walk_outputs(o, label, np.int64, False)
+
+
+@pytest.mark.parametrize("poly,max_norm", [
+    ("x", 1 << 12), ("x^2+1", 1 << 10), ("x^2+x+1", 1 << 10),
+    ("x^3-2", 1 << 9), ("x^4+1", 1 << 10),
+])
+def test_exponent_is_the_least_integer_that_kills_the_ring(poly, max_norm):
+    o = make_order(poly)
+    ctx = OrderContext(o)
+    d = o.degree
+    for a in sweep_ideals(o, max_norm):
+        factors = tuple(a.factors)
+        basis = ctx.basis(factors)
+
+        def kills(s):
+            return all(lattice.contains(basis, [s * (i == j)
+                                                for j in range(d)])
+                       for i in range(d))
+
+        least = next(s for s in range(1, a.absolute_norm + 1) if kills(s))
+        assert ctx.exponent(factors) == least, a.label()
+        ring = build_residue_ring(o, a, ctx=ctx)
+        assert ring.exponent == least
+        assert all(least % h == 0 for h in ring.diag)
+
+
+@pytest.mark.parametrize("p,wrong_e", [
+    (2, 1),  # ramified: p^3 is not the least power of 2 in P^3
+    (5, 3),  # split: p^1 is not in P^3
+])
+def test_wrong_exponent_is_refused(p, wrong_e):
+    # the context checks the exponent it makes, before any walk uses it
+    o = make_order("x^2+1")
+    pd = dataclasses.replace(factor_prime(o, p)[0], e=wrong_e)
+    a = FactoredIdeal(((pd, 3),))
+    with pytest.raises(InvariantViolation, match="not the exponent"):
+        OrderContext(o).exponent(tuple(a.factors))
+    ring = build_residue_ring(o, a)
+    with pytest.raises(InvariantViolation, match="not the exponent"):
+        ring.unit_product()
+
+
+@pytest.mark.parametrize("first,second", [(np.int64, np.int32),
+                                          (np.int32, np.int64)])
+def test_a_walk_in_the_other_lane_allocates_no_block(monkeypatch, first,
+                                                     second):
+    # the lanes share the pool's slots: a walk finds its buffers after a
+    # walk as large in the other lane
+    monkeypatch.setattr(residue._THREAD, "pool", residue._Scratch(),
+                        raising=False)
+    o = make_order("x^4+1")
+    a = parse_ideal(o, "3^6@1")
+    peaks = []
+    for lane in (first, second):
+        monkeypatch.setattr(residue, "_LANES", _only(lane))
+        tracemalloc.start()
+        try:
+            res = verify_ideal(o, a)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.ring._kernels.dtype is lane
+        assert res.match and res.census.d2 == 1
     assert peaks[1] < 2 ** 20, peaks
