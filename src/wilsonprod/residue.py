@@ -210,26 +210,22 @@ class OrderContext:
         For P^m it is p^ceil(m/e_P), the least power of p in P^m, and it
         is checked against the basis, once per (P, m): e*e_i lies in the
         lattice for every i, and (e/p)*e_i does not for some i.  The
-        exponent of a comaximal product is the lcm of its parts', as the
-        product is their intersection.  Made when a ring first needs it,
-        so a ring that is never walked costs no check.
+        exponent of a product of comaximal factors is the lcm of theirs,
+        as the product is their intersection.  Made when a ring first
+        needs it, so a ring that is never walked costs no check.
         """
-        e = self._exponents.get(factors)
+        return math.lcm(*(self._exponent(pd, m) for pd, m in factors))
+
+    def _exponent(self, pd: PrimeIdealData, m: int) -> int:
+        e = self._exponents.get((pd, m))
         if e is None:
-            if len(factors) > 1:
-                e = math.lcm(self.exponent(factors[:-1]),
-                             self.exponent(factors[-1:]))
-            elif factors:
-                (pd, m), = factors
-                e = pd.p ** -(-m // pd.e)
-                basis = self.basis(factors)
-                if not _is_exponent(basis, e, pd.p):
-                    raise InvariantViolation(
-                        f"{e} is not the exponent of {self.order}/"
-                        f"({FactoredIdeal(factors).label()}), basis {basis}")
-            else:
-                e = 1
-            self._exponents[factors] = e
+            e = pd.p ** -(-m // pd.e)
+            basis = self.basis(((pd, m),))
+            if not _is_exponent(basis, e, pd.p):
+                raise InvariantViolation(
+                    f"{e} is not the exponent of {self.order}/"
+                    f"({FactoredIdeal(((pd, m),)).label()}), basis {basis}")
+            self._exponents[pd, m] = e
         return e
 
     def uniformizer(self, pd: PrimeIdealData) -> OrderElement:
@@ -248,22 +244,26 @@ class OrderContext:
             rows.append(rem + (0,) * (d - len(rem)))
         return rows
 
-    def red_rows(self, n: int) -> np.ndarray:
+    def red_rows(self, n: int) -> tuple[np.ndarray, int]:
         """The fold rows as symmetric residues mod n, a (d-1, d) int64
-        array; cached per n.
+        array, and 1 + the largest column sum of their sizes, the factor
+        by which the fold can grow a coefficient; cached per n.
 
         Only their residues mod n are ever used, and symmetric residues keep
         the kernels' bounds independent of the size of f's coefficients.
         """
-        rows = self._red_rows.get(n)
-        if rows is None:
+        out = self._red_rows.get(n)
+        if out is None:
             half = n // 2
-            rows = np.array([[(c + half) % n - half for c in row]
-                             for row in self.fold_rows],
-                            dtype=np.int64).reshape(-1, self.order.degree)
+            d = self.order.degree
+            rows = [[(c + half) % n - half for c in row]
+                    for row in self.fold_rows]
+            grow = 1 + max(sum(abs(row[m]) for row in rows)
+                           for m in range(d))
+            rows = np.array(rows, dtype=np.int64).reshape(-1, d)
             rows.flags.writeable = False
-            self._red_rows[n] = rows
-        return rows
+            out = self._red_rows[n] = (rows, grow)
+        return out
 
     def unit_table(self, pd: PrimeIdealData,
                    diag: Sequence[int]) -> np.ndarray:
@@ -304,7 +304,7 @@ class OrderContext:
                 target = lattice.reduce_mod(basis, self.order.one.coeffs)
                 # coefficients mod p, which p*o in P allows, reduced before
                 # the fold as well
-                args = (self.red_rows(p), p, d, False)
+                args = (self.red_rows(p)[0], p, d, False)
             else:
                 target = (0,) * d
             table = np.zeros(n, dtype=bool)
@@ -411,11 +411,10 @@ class ResidueRing:
         if lane is None:
             return None
         dtype, safe = lane
-        rows = self.context.red_rows(e)
-        s = 1 + int(np.abs(rows).sum(axis=0).max())
+        rows, grow = self.context.red_rows(e)
         # with "defer", coefficients are reduced only after the high-degree
         # columns of the convolution are folded back in
-        return _Kernels(dtype, rows, d * e * e * s < safe)
+        return _Kernels(dtype, rows, d * e * e * grow < safe)
 
     @property
     def _np_ok(self) -> bool:
@@ -702,7 +701,8 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 # residues mod e, at most e/2 in size.  Then in either lane:
 #   _np_mul: every convolution sum is below d*e^2.  With defer_mod, chosen
 #     only when d*e^2*s is under the lane's bound (s = 1 + the largest
-#     column sum of the |fold rows|), the folded sums stay below d*e^2*s;
+#     column sum of the |fold rows|, see red_rows), the folded sums stay
+#     below d*e^2*s;
 #     without it they are reduced to [0, e) first and the fold stays
 #     within e + (d-1)*e^2/2.  _np_fold and _np_tree_product only call it.
 #   _np_reduce: columns in [0, e) and a shift of at most e (e itself in

@@ -888,6 +888,41 @@ def test_both_lanes_enumerate_cli_rings_alike(poly, label):
         _walk_outputs(o, label, np.int64, False)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_int32_kernels_hold_at_the_lane_bound(d):
+    # the largest exponent the int32 lane admits at degree d, the widest
+    # fold rows symmetric residues give and operands up to e-1: the int32
+    # kernels must give what the int64 ones give, with no wraparound
+    e = math.isqrt(((1 << 30) - 1) // (2 * d + 4))
+    assert residue._lane(d, e, e)[0] is np.int32
+    assert residue._lane(d, e + 1, e + 1)[0] is np.int64
+    rng = np.random.default_rng(d)
+    k = 257
+    a = rng.integers(0, e, size=(d, k))
+    a[:, :8] = e - 1
+    b = rng.integers(0, e, size=(d, k))
+    wide = rng.choice([-(e // 2), e // 2], size=(d - 1, d))
+    # narrow rows (one entry of 1 per column) leave room to defer
+    narrow = np.eye(d - 1, d, dtype=np.int64)
+    for red, defer in ((wide, False), (narrow, True)):
+        args = (red, e, d, defer)
+        for f in (lambda x, y: residue._np_mul(x, y, *args),
+                  lambda x, y: residue._np_tree_product(x, *args)):
+            want = f(a, b)
+            got = f(a.astype(np.int32), b.astype(np.int32))
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want), (red[0, :3], defer)
+    basis = [[e if i == j else int(rng.integers(0, e)) if j > i else 0
+              for j in range(d)] for i in range(d)]
+    target = [int(t) for t in rng.integers(0, e, size=d)]
+    cols = a.copy()
+    cols[:, 8:16] = np.array(target)[:, None]
+    want = residue._np_reduce(cols, basis, e, target)
+    assert len(want) >= 8
+    assert np.array_equal(
+        residue._np_reduce(cols.astype(np.int32), basis, e, target), want)
+
+
 @pytest.mark.parametrize("poly,max_norm", [
     ("x", 1 << 12), ("x^2+1", 1 << 10), ("x^2+x+1", 1 << 10),
     ("x^3-2", 1 << 9), ("x^4+1", 1 << 10),
