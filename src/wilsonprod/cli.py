@@ -124,7 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     verdict = "MATCH" if res.match else "MISMATCH"
     doc = dict(res.to_json(), poly=poly_str(o.poly), verdict=verdict)
     if args.dump:
-        doc["ring"] = res.ring.to_dump_json()
+        doc["ring"] = res.ring.to_dump_json(res.census)
     lines = [
         f"o = {o}, a = {a.label()}, |o/a| = {res.ring.size},"
         f" units {res.ring.unit_count}",

@@ -217,15 +217,15 @@ def valuation(o: NumberFieldOrder, pd: PrimeIdealData,
 def uniformizer(o: NumberFieldOrder, pd: PrimeIdealData) -> OrderElement:
     """An element of P of valuation exactly 1.
 
-    g(theta) works unless it falls into P^2, which can only happen in the
-    unramified case, where adding p (valuation e = 1) repairs it.
+    g(theta) and g(theta)+p lie in P, so either has valuation 1 when it is
+    outside P^2.  g(theta) can only fall into P^2 in the unramified case,
+    where adding p (valuation e = 1) repairs it.
     """
+    square = lattice.ideal_power_lattice(o, pd.p, pd.gen_poly, 2)
     g = o.element_from_poly(pd.gen_poly)
-    if valuation(o, pd, g) == 1:
-        return g
-    shifted = o.add(g, o.from_int(pd.p))
-    if valuation(o, pd, shifted) == 1:
-        return shifted
+    for pi in (g, o.add(g, o.from_int(pd.p))):
+        if not lattice.contains(square, pi.coeffs):
+            return pi
     raise UniformizerNotFound(
         f"no valuation-1 element among g(theta), g(theta)+p at {pd}")
 

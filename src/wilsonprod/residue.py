@@ -8,42 +8,35 @@ the brute-force side of the package, against which the closed-form
 classification in `wilson` is checked.
 
 Enumeration-heavy operations (unit listing, the all-units product, the
-square-roots-of-1 census) run on numpy integer arrays.  Coefficients are
-reduced modulo the exponent e of o/a between multiplications: e is the
-least s > 0 with s*o inside a (p^ceil(m/e_P) for P^m, the lcm over the
-factors of a composite), so it kills o/a and reducing by it never changes
-a residue class.  It is at most |o/a| and often far smaller.  Each ring
-picks its lane once, on its first walk: int32 when (2d+4)*e^2 < 2^30, else
-int64 when (2d+4)*e^2 < 2^62; a worst-case bound (see the kernel section)
-proves that no intermediate value can overflow in that lane, and
-enumerating a ring beyond both raises RingTooLarge.
+square-roots-of-1 census) run on numpy integer arrays, with coefficients
+reduced modulo the exponent e of o/a between multiplications: the least
+s > 0 with s*o inside a, so reducing by it never changes a residue class.
+Each ring picks its kernels' lane, int32 or int64, on its first walk; the
+bounds that choose it are stated once, in the kernel section.
 
 The product and the census share one walk over the units.  It builds a
 flat unit mask of the box (one byte per element, tiled from small per-prime
-tables), then takes the box CHUNK positions at a time: each block's units
-are decoded to coordinates and folded into a running product of FOLD
-columns.  When the census is asked for, a second mask, tiled from per-prime
-tables of the classes with x^2 = 1 mod P, marks the candidates (a square
-root of 1 mod a is one mod every P | a); only the candidates of each block
-are squared and tested for x^2 = 1 mod a.  A ring keeps no unit array:
-`units`, `principal_units` and the dump build the whole array only when
-they are called.  A box of at most CHUNK positions is one block,
-multiplied as one tree.
+tables), then takes the box CHUNK positions at a time in one loop: each
+block's units are decoded to coordinates and folded into a running product
+of FOLD columns.  When the census is asked for, a second mask, tiled from
+per-prime tables of the classes with x^2 = 1 mod P, marks the candidates (a
+square root of 1 mod a is one mod every P | a); only the candidates of each
+block are squared and tested for x^2 = 1 mod a.  A ring keeps no unit
+array: `units`, `principal_units` and the dump build the whole array only
+when they are called.  A box of at most CHUNK positions is one block,
+multiplied as one tree, and a box of more than WALK_MAX positions is never
+walked.
 
-The masks and every block-sized array a walk writes are slots of one
-scratch pool that the process keeps (_Scratch, one per thread), so once a
-walk as large has run, a walk allocates only what numpy makes inside a
-call (the index array of each block's np.flatnonzero, _np_reduce's
-temporaries, the copy it makes of a tile whose source and destination
-interleave), which the allocator serves from memory it has kept: it
-faults in no fresh pages.  Each slot grows to the largest walk's need and
-never shrinks: one byte per box position for each of the two masks, and
-at degree d 8*((2d+1)*CHUNK + (3d-1)*SPAN) bytes for the blocks, the
+The masks and every block-sized array a walk writes are slots of a scratch
+pool that each thread keeps (_take), so once a walk as large has run, a
+walk faults in no fresh pages.  Each slot grows to the largest walk's need
+and never shrinks: one byte per box position for each of the two masks,
+and at degree d 8*((2d+1)*CHUNK + (3d-1)*SPAN) bytes for the blocks, the
 decoded indices and the products (the tiles of a mask borrow the blocks'
-memory).  An integer entry takes 8 bytes of its slot in either lane, so
-the lanes share the pool; an int32 walk writes half of those bytes.
-Buffers under KEEP bytes (256 KB) are made fresh and not kept, so small
-walks leave the pool empty.
+slot).  An integer entry takes 8 bytes of its slot in either lane, so the
+lanes share the pool.  Buffers under KEEP bytes are made fresh and not
+kept, so small walks leave the pool empty.  A walk runs to its end before
+it returns, so no walk finds its slots written over by another.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
 fold rows, and unit and root tables are built once per context, not once
@@ -57,7 +50,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,9 +68,8 @@ from .primes import FactoredIdeal, PrimeIdealData, uniformizer
 
 DEFAULT_CAP = 1 << 20
 
-# the kernels' lanes, narrowest first: (integer type, bound); a ring of
-# degree d and exponent e runs in the first lane with (2d+4)*e^2 and its
-# number of box positions under the bound (see the kernel section)
+# the kernels' lanes, narrowest first: (integer type, bound); see the
+# kernel section
 _LANES = ((np.int32, 1 << 30), (np.int64, 1 << 62))
 
 # the walk over the units takes the box this many positions at a time,
@@ -93,53 +85,36 @@ SPAN = 1 << 13
 # that small comes from memory the allocator keeps and faults in next to no
 # pages, and kept, it would only add to what a process of small walks holds
 KEEP = 1 << 18
-
-
-class _Scratch:
-    """Scratch buffers of the walks over the units, kept between walks.
-
-    Each slot is one flat int64 array, grown to the largest size a walk
-    has asked of it and never shrunk, so a walk no larger than one before
-    it writes its masks and blocks into pages that are already mapped.  It
-    hands out int64, int32 and bool views of that memory.  An integer
-    request takes one 8-byte word per entry in either lane, so a walk of
-    one lane finds its room after a walk as large of the other (an int32
-    walk writes only the first half); a bool request takes one byte per
-    entry.  A request for fewer than KEEP bytes of the slot gets a fresh
-    array and leaves the slot as it is.
-    The pool belongs to the process (one per thread, see _scratch), not to
-    a ring or an OrderContext: every CLI request and bare verify_ideal
-    makes a fresh context.  ``walks`` counts the unit masks built, so a
-    walk can tell when another one reused the pool while it was suspended.
-    """
-
-    def __init__(self):
-        self.bufs: dict = {}  # slot -> flat int64 array
-        self.walks = 0
-
-    def take(self, slot: str, n: int, dtype=np.int64) -> np.ndarray:
-        """A flat array of ``n`` entries of ``dtype`` in ``slot``, its
-        contents undefined: it shares memory with what the slot handed out
-        before."""
-        dtype = np.dtype(dtype)
-        words = -(-n // 8) if dtype == bool else n
-        if 8 * words < KEEP:
-            return np.empty(n, dtype=dtype)
-        buf = self.bufs.get(slot)
-        if buf is None or len(buf) < words:
-            buf = self.bufs[slot] = np.empty(words, dtype=np.int64)
-        return buf.view(dtype)[:n]
-
+# no walk takes a box of more positions: its two masks alone would need
+# 2*WALK_MAX bytes (512 MB), which only a raised cap allows
+WALK_MAX = 1 << 28
 
 _THREAD = threading.local()
 
 
-def _scratch() -> _Scratch:
-    """This thread's scratch pool, made on first use."""
-    pool = getattr(_THREAD, "pool", None)
-    if pool is None:
-        pool = _THREAD.pool = _Scratch()
-    return pool
+def _take(slot: str, n: int, dtype=np.int64) -> np.ndarray:
+    """A flat array of ``n`` entries of ``dtype`` from ``slot`` of this
+    thread's scratch pool, its contents undefined: it shares memory with
+    what the slot handed out before.
+
+    Each slot is one flat int64 array, grown to the largest request and
+    never shrunk.  An integer entry takes one 8-byte word of it in either
+    lane, a bool entry one byte.  A request for fewer than KEEP bytes gets
+    a fresh array and leaves the slot as it is.  The pool belongs to the
+    thread, not to a ring or an OrderContext: every CLI request makes a
+    fresh context.
+    """
+    dtype = np.dtype(dtype)
+    words = -(-n // 8) if dtype == bool else n
+    if 8 * words < KEEP:
+        return np.empty(n, dtype=dtype)
+    bufs = getattr(_THREAD, "bufs", None)
+    if bufs is None:
+        bufs = _THREAD.bufs = {}
+    buf = bufs.get(slot)
+    if buf is None or len(buf) < words:
+        buf = bufs[slot] = np.empty(words, dtype=np.int64)
+    return buf.view(dtype)[:n]
 
 
 def _is_exponent(basis: list[list[int]], e: int, p: int) -> bool:
@@ -244,10 +219,11 @@ class OrderContext:
             rows.append(rem + (0,) * (d - len(rem)))
         return rows
 
-    def red_rows(self, n: int) -> tuple[np.ndarray, int]:
-        """The fold rows as symmetric residues mod n, a (d-1, d) int64
-        array, and 1 + the largest column sum of their sizes, the factor
-        by which the fold can grow a coefficient; cached per n.
+    def red_rows(self, n: int) -> tuple[tuple, int]:
+        """The fold rows as symmetric residues mod n, as their nonzero
+        (t, m, coef) terms (_fold_terms), and 1 + the largest column sum of
+        their sizes, the factor by which the fold can grow a coefficient;
+        cached per n.
 
         Only their residues mod n are ever used, and symmetric residues keep
         the kernels' bounds independent of the size of f's coefficients.
@@ -255,14 +231,11 @@ class OrderContext:
         out = self._red_rows.get(n)
         if out is None:
             half = n // 2
-            d = self.order.degree
             rows = [[(c + half) % n - half for c in row]
                     for row in self.fold_rows]
             grow = 1 + max(sum(abs(row[m]) for row in rows)
-                           for m in range(d))
-            rows = np.array(rows, dtype=np.int64).reshape(-1, d)
-            rows.flags.writeable = False
-            out = self._red_rows[n] = (rows, grow)
+                           for m in range(self.order.degree))
+            out = self._red_rows[n] = (_fold_terms(rows), grow)
         return out
 
     def unit_table(self, pd: PrimeIdealData,
@@ -359,7 +332,7 @@ class _Kernels(NamedTuple):
     """How a ring's walks run the kernels (see ResidueRing._kernels)."""
 
     dtype: type
-    red_rows: np.ndarray
+    terms: tuple
     defer_mod: bool
 
 
@@ -401,7 +374,7 @@ class ResidueRing:
     @functools.cached_property
     def _kernels(self) -> _Kernels | None:
         """The kernels' setting: the narrowest lane whose bound holds, the
-        fold rows mod e, and whether _np_mul may defer its coefficient
+        fold terms mod e, and whether _np_mul may defer its coefficient
         reduction past the fold in that lane; None beyond every lane.
         Chosen on first use, so a ring that only evaluates a witness never
         pays for it."""
@@ -411,10 +384,10 @@ class ResidueRing:
         if lane is None:
             return None
         dtype, safe = lane
-        rows, grow = self.context.red_rows(e)
+        terms, grow = self.context.red_rows(e)
         # with "defer", coefficients are reduced only after the high-degree
         # columns of the convolution are folded back in
-        return _Kernels(dtype, rows, d * e * e * grow < safe)
+        return _Kernels(dtype, terms, d * e * e * grow < safe)
 
     @property
     def _np_ok(self) -> bool:
@@ -451,77 +424,64 @@ class ResidueRing:
         return [ResidueElement(self, t)
                 for t in itertools.product(*(range(h) for h in self.diag))]
 
-    def _units_array(self) -> Iterator[np.ndarray]:
-        """The units as (d, k) column blocks in box order.
+    def _units_array(self) -> np.ndarray:
+        """The flat unit mask of the box, in box order, in the scratch pool.
 
-        Builds the unit mask of the whole box, then returns a generator that
-        decodes it CHUNK box positions at a time, one block per slice, and
-        checks the count over all blocks against the closed form after the
-        last one.  Every enumeration of the ring goes through here, once a
-        walk.  Mask and blocks live in the scratch pool: each block is
-        overwritten by the next, so a caller that keeps one copies it.
-        Raises RingTooLarge when the ring is beyond the int64 bound of the
-        kernels.
+        Every enumeration of the ring starts here, once a walk, and decodes
+        the mask CHUNK positions at a time (_decode).  Raises RingTooLarge,
+        before any mask is made, when the ring is beyond the int64 bound of
+        the kernels or its box has more than WALK_MAX positions.
         """
         if not self._np_ok:
             raise RingTooLarge(
                 f"|o/a| = {self.size} of exponent {self.exponent} is beyond "
-                f"the int64 enumeration bound (2d+4)*e^2 < 2^62 at degree "
-                f"{self.order.degree}")
-        pool = _scratch()
-        mask = self._mask([self.context.unit_table(pd, self.diag)
-                           for pd, _ in self.modulus.factors],
-                          pool, "units mask")
-        pool.walks += 1
-        return self._unit_blocks(mask, pool, pool.walks)
+                f"the kernels' int64 lane at degree {self.order.degree}")
+        if self.size > WALK_MAX:
+            raise RingTooLarge(
+                f"|o/a| = {self.size} is beyond the {WALK_MAX} box positions "
+                f"a walk over the units may take")
+        return self._mask([self.context.unit_table(pd, self.diag)
+                           for pd, _ in self.modulus.factors], "units mask")
 
-    def _unit_blocks(self, mask: np.ndarray, pool: _Scratch,
-                     walk: int) -> Iterator[np.ndarray]:
-        found = 0
-        for s in range(0, len(mask), CHUNK):
-            if pool.walks != walk:
-                raise InvariantViolation(
-                    f"a walk of {self} was resumed after another walk "
-                    f"reused its scratch buffers")
-            cols = self._decode(mask, s, pool, "units")
-            found += cols.shape[1]
-            yield cols
+    def _check_units(self, found: int) -> None:
         if found != self.unit_count:
             raise InvariantViolation(
                 f"{found} units enumerated in {self}, "
                 f"the closed form gives {self.unit_count}")
 
-    def _decode(self, mask: np.ndarray, s: int, pool: _Scratch,
-                slot: str) -> np.ndarray:
+    def _decode(self, mask: np.ndarray, s: int, slot: str) -> np.ndarray:
         """The positions that ``mask`` marks among s .. s+CHUNK-1, as (d, k)
-        coordinate columns in ``slot`` of ``pool``."""
+        coordinate columns in ``slot`` of the scratch pool."""
         idx = np.flatnonzero(mask[s:s + CHUNK])
         d, k = len(self.diag), len(idx)
         dtype = self._kernels.dtype
         if idx.dtype != dtype:
             # one cast into the ring's lane, so that every division of the
             # decode runs in it
-            idx = np.add(idx, s, out=pool.take("index", k, dtype),
+            idx = np.add(idx, s, out=_take("index", k, dtype),
                          casting="unsafe")
         elif s:
             idx += s
-        cols = pool.take(slot, d * k, dtype).reshape(d, k)
+        cols = _take(slot, d * k, dtype).reshape(d, k)
         return _np_coords(idx, self.diag, cols)
 
-    def _mask(self, tables: list, pool: _Scratch, slot: str) -> np.ndarray:
-        """_np_unit_mask of ``tables``, in ``slot`` of ``pool``.  The tiles
-        go to the slot of the unit blocks, which no walk uses before its
-        masks are made."""
+    def _mask(self, tables: list, slot: str) -> np.ndarray:
+        """_np_unit_mask of ``tables``, in ``slot`` of the scratch pool.
+        The tiles go to the slot of the unit blocks, which no walk uses
+        before its masks are made."""
         tile = None
         if len(tables) > 1:
-            tile = pool.take("units", self.size, bool)
+            tile = _take("units", self.size, bool)
         return _np_unit_mask(self.diag, tables,
-                             pool.take(slot, self.size, bool), tile)
+                             _take(slot, self.size, bool), tile)
 
     def _unit_rows(self) -> np.ndarray:
         """Every unit as (count, d) rows in box order, in one array."""
-        return np.concatenate([cols.copy() for cols in self._units_array()],
-                              axis=1).T
+        mask = self._units_array()
+        rows = np.concatenate([self._decode(mask, s, "units").copy()
+                               for s in range(0, len(mask), CHUNK)], axis=1).T
+        self._check_units(len(rows))
+        return rows
 
     def units(self) -> list[ResidueElement]:
         """All units, in enumeration order; length is checked against
@@ -563,28 +523,30 @@ class ResidueRing:
         pool.
         """
         d = len(self.diag)
-        # the units first: _units_array refuses a ring beyond the int64 bound
-        blocks = self._units_array()
+        # the mask first: _units_array refuses a ring it cannot walk
+        mask = self._units_array()
         e = self.exponent
-        dtype, rows, defer_mod = self._kernels
-        args = (rows, e, d, defer_mod)
+        dtype, terms, defer_mod = self._kernels
+        args = (terms, e, d, defer_mod)
         # columns set to 1 until a block reaches them: a later block can
         # hold more units than the first
         acc = np.repeat(np.array(self._one_coeffs, dtype=dtype)[:, None],
                         FOLD, axis=1) if self.size > CHUNK else None
-        pool = _scratch()
         sieve = self._root_mask() if census else None
         roots = []
-        for s, cols in zip(itertools.count(0, CHUNK), blocks):
+        found = 0
+        for s in range(0, len(mask), CHUNK):
+            cols = self._decode(mask, s, "units")
             k = cols.shape[1]
+            found += k
             cands = cols
             if census and sieve is not None:
-                cands = self._decode(sieve, s, pool, "candidates")
+                cands = self._decode(sieve, s, "candidates")
             kc = cands.shape[1] if census else 0
             # one buffer for the census square, the fold and the product
             # into the accumulator, SPAN columns at a time
             span = min(SPAN, max(kc, k // 2, min(k, FOLD), 1))
-            work = pool.take("work", (3 * d - 1) * span, dtype)
+            work = _take("work", (3 * d - 1) * span, dtype)
             for c in range(0, kc, span):
                 part = cands[:, c:c + span]
                 sq = _np_mul(part, part, *args, work=work)
@@ -596,6 +558,7 @@ class ResidueRing:
                 live = _np_fold(cols, FOLD, *args, work=work)
                 low = acc[:, :live]
                 _np_mul(low, cols[:, :live], *args, out=low, work=work)
+        self._check_units(found)
         if acc is not None:
             col = _np_tree_product(acc, *args, out=acc)
         product = self.reduce([int(c) for c in col])
@@ -621,8 +584,7 @@ class ResidueRing:
                    ctx.unit_table(pd, self.diag)) for pd in pds]
         if all(roots is units for roots, units in tables):
             return None
-        return self._mask([roots for roots, _ in tables], _scratch(),
-                          "roots mask")
+        return self._mask([roots for roots, _ in tables], "roots mask")
 
     def principal_units(self, j: int) -> list[ResidueElement]:
         """U_j = units congruent to 1 mod P^j, for a prime-power modulus P^n."""
@@ -642,8 +604,9 @@ class ResidueRing:
 
     # -- output --------------------------------------------------------------
 
-    def to_dump_json(self) -> dict:
-        census = self.order2_census()
+    def to_dump_json(self, census: Census) -> dict:
+        """The ring, its units and ``census``, its order2_census, as one
+        JSON document."""
         return {
             "size": self.size,
             "unit_count": self.unit_count,
@@ -691,23 +654,26 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 
 
 # ---------------------------------------------------------------------------
-# Kernels.  They run in the integer type of their operands, the ring's lane:
-# int32 when (2d+4)*e^2 < 2^30, else int64 when (2d+4)*e^2 < 2^62, where e
-# is the exponent of o/a (the least s > 0 with s*Z^d inside the lattice,
-# which every pivot divides) and the box has fewer positions than the same
-# bound, so that a flat box index fits the lane too.  Preconditions:
-# operand coefficients lie in [0, e); every basis entry lies in [0, pivot)
-# (checked where OrderContext makes the basis); fold rows are symmetric
-# residues mod e, at most e/2 in size.  Then in either lane:
+# Kernels.  They run in the integer type of their operands, the ring's lane
+# (_lane): int32 when (2d+4)*e^2 < 2^30, else int64 when (2d+4)*e^2 < 2^62,
+# where e is the exponent of o/a (the least s > 0 with s*Z^d inside the
+# lattice, which every pivot divides) and the box has fewer positions than
+# the same bound, so that a flat box index fits the lane too; a ring beyond
+# both lanes is not enumerated (RingTooLarge).  Preconditions: operand
+# coefficients lie in [0, e); every basis entry lies in [0, pivot) (checked
+# where OrderContext makes the basis); fold terms are symmetric residues
+# mod e, at most e/2 in size.  Then in either lane:
 #   _np_mul: every convolution sum is below d*e^2.  With defer_mod, chosen
 #     only when d*e^2*s is under the lane's bound (s = 1 + the largest
 #     column sum of the |fold rows|, see red_rows), the folded sums stay
-#     below d*e^2*s;
-#     without it they are reduced to [0, e) first and the fold stays
-#     within e + (d-1)*e^2/2.  _np_fold and _np_tree_product only call it.
-#   _np_reduce: columns in [0, e) and a shift of at most e (e itself in
-#     the census, the exponent of P^j, a divisor of e, in principal_units)
-#     keep every carried value within d*e^2 (see its docstring).
+#     below d*e^2*s; without it they are reduced to [0, e) first and the
+#     fold stays within e + (d-1)*e^2/2.  _np_fold and _np_tree_product
+#     only call it.
+#   _np_reduce: with columns in [0, N), every quotient in [0, shift) and
+#     every basis entry below shift, a carried value stays within
+#     N + (d-1)*shift^2; N = e and a shift of at most e (e itself in the
+#     census, the exponent of P^j, a divisor of e, in principal_units) keep
+#     it within d*e^2.
 #   _np_mod, _np_divmod: a quotient times the modulus is within the value
 #     plus the modulus.
 # So every intermediate is within (2d+4)*e^2, under the lane's bound.  The
@@ -759,11 +725,8 @@ def _np_reduce(vecs: np.ndarray, basis: Sequence[Sequence[int]],
     lattice, so every pivot divides ``shift``, and ``target`` must be a box
     representative.  A coordinate whose pivot is 1 is never updated (the
     basis entries above a pivot of 1 are 0), so it still holds its input
-    value.  Bound: with the columns in [0, N), every quotient in
-    [0, shift) and every basis entry in [0, pivot), below shift, a carried
-    value stays within N + (d-1)*shift^2 in size: within d*e^2 when N and
-    shift are at most the ring's exponent e, inside the bound (2d+4)*e^2
-    of either lane.  ``vecs`` is not written to.
+    value.  Its bound is stated in the kernel section.  ``vecs`` is not
+    written to.
     """
     d, k = vecs.shape
     rows = vecs  # coordinates i.. of the surviving columns
@@ -865,15 +828,25 @@ def _np_periodic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
+def _fold_terms(rows: Sequence[Sequence[int]]) -> tuple:
+    """The nonzero entries of fold rows (x^(d+t) mod f for each t, as in
+    OrderContext.red_rows) as (t, m, coef) triples of Python ints: _np_mul
+    adds coef times convolution row d+t into coefficient m."""
+    return tuple((t, m, int(c)) for t, row in enumerate(rows)
+                 for m, c in enumerate(row) if c)
+
+
+def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
             n: int, d: int, defer_mod: bool, out: np.ndarray | None = None,
             work: np.ndarray | None = None) -> np.ndarray:
     """Columnwise products mod the defining polynomial, coefficients mod n.
 
     ``a`` and ``b`` are (d, k): row i holds coefficient i of k elements.
-    With ``defer_mod`` (proved safe at ring construction) the coefficient
-    reduction happens once, after folding the high-degree rows; else the
-    convolution is reduced before folding as well.  The arithmetic runs in
+    ``terms`` are the nonzero (t, m, coef) entries of the fold rows
+    (_fold_terms).  With ``defer_mod`` (see the kernel section for when it
+    is safe) the coefficient reduction happens once, after folding the
+    high-degree rows; else the convolution is reduced before folding as
+    well.  The arithmetic runs in
     ``work``, a flat array of the operands' type (fresh when None), laid
     out as a contiguous (3d-1, k) array, which keeps numpy on its fast path
     for contiguous operands.  The products are left in its last d rows, and
@@ -889,7 +862,7 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
     elif len(work) < rows * k:
         span = len(work) // rows
         for s in range(0, k, span):
-            _np_mul(a[:, s:s + span], b[:, s:s + span], red_rows, n, d,
+            _np_mul(a[:, s:s + span], b[:, s:s + span], terms, n, d,
                     defer_mod, out[:, s:s + span], work)
         return out
     else:
@@ -908,17 +881,13 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
         for s in range(0, 2 * d - 1, d):
             _np_mod(c[s:s + d], n, out=c[s:s + d], work=prod)
     r = c[:d]
-    for t in range(d - 1):
-        col = c[d + t]
-        row = red_rows[t]
-        for m in np.nonzero(row)[0]:
-            coef = int(row[m])
-            if coef == 1:
-                r[m] += col
-            elif coef == -1:
-                r[m] -= col
-            else:
-                r[m] += np.multiply(col, coef, out=prod[0])
+    for t, m, coef in terms:
+        if coef == 1:
+            r[m] += c[d + t]
+        elif coef == -1:
+            r[m] -= c[d + t]
+        else:
+            r[m] += np.multiply(c[d + t], coef, out=prod[0])
     _np_mod(r, n, out=prod)
     if out is None:
         return prod
@@ -926,7 +895,7 @@ def _np_mul(a: np.ndarray, b: np.ndarray, red_rows: np.ndarray,
     return out
 
 
-def _np_fold(a: np.ndarray, width: int, red_rows: np.ndarray, n: int,
+def _np_fold(a: np.ndarray, width: int, terms: tuple, n: int,
              d: int, defer_mod: bool, work: np.ndarray | None = None) -> int:
     """Multiply the columns of a (d, count) array together in place, as a
     balanced tree, until at most ``width`` are left; returns how many.
@@ -943,13 +912,13 @@ def _np_fold(a: np.ndarray, width: int, red_rows: np.ndarray, n: int,
     while live > width:
         h = min(live // 2, live - width)
         low = a[:, :h]
-        _np_mul(low, a[:, live - h:live], red_rows, n, d, defer_mod,
+        _np_mul(low, a[:, live - h:live], terms, n, d, defer_mod,
                 out=low, work=work)
         live -= h
     return live
 
 
-def _np_tree_product(units: np.ndarray, red_rows: np.ndarray, n: int,
+def _np_tree_product(units: np.ndarray, terms: tuple, n: int,
                      d: int, defer_mod: bool, out: np.ndarray | None = None,
                      work: np.ndarray | None = None) -> np.ndarray:
     """Product of the columns of a nonempty (d, count) array, as a balanced
@@ -957,5 +926,5 @@ def _np_tree_product(units: np.ndarray, red_rows: np.ndarray, n: int,
     copy of ``units`` when None; ``work`` is _np_fold's."""
     if out is None:
         out = units.copy(order="C")
-    _np_fold(out, 1, red_rows, n, d, defer_mod, work)
+    _np_fold(out, 1, terms, n, d, defer_mod, work)
     return out[:, 0]

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from wilsonprod import cli, order
+from wilsonprod import cli, order, residue
 from wilsonprod.cli import main
 from wilsonprod.primes import IDEAL_NORM_BITS_MAX
 
@@ -148,6 +148,20 @@ def test_verify_dump(capsys):
     assert ring["units"] == [[1], [3]]
     assert ring["census"]["d2"] == 1
     assert ring["elements"] == [[0], [1], [2], [3]]
+
+
+def test_verify_dump_walks_the_ring_twice(capsys, monkeypatch):
+    # one walk for the product and census, one for the dump's units: the
+    # dump takes the census verify already has
+    walks = []
+    units_array = residue.ResidueRing._units_array
+    monkeypatch.setattr(residue.ResidueRing, "_units_array",
+                        lambda ring: walks.append(ring) or units_array(ring))
+    code, doc = run_json(capsys, "verify", "--poly", "x^2+1", "--ideal",
+                         "5^2; 2^3", "--dump")
+    assert code == 0 and doc["verdict"] == "MATCH"
+    assert len(walks) == 2
+    assert doc["ring"]["census"]["solutions"] == doc["census"]["solutions"]
 
 
 def test_verify_dump_cap(capsys, monkeypatch):
@@ -376,6 +390,19 @@ def test_huge_norms_are_typed_errors(argv, kind):
     code, out = run_cli_bounded(*argv)
     assert code == 2
     assert json.loads(out)["error"]["type"] == kind
+
+
+def test_a_walk_beyond_its_memory_bound_is_refused():
+    # exponent 2^16, inside the lanes, but 2^31 box positions: refused
+    # before any mask is made, so the child stays within its 1 GB
+    ideal = ("--poly", "x^2+1", "--ideal", "2^31", "--cap", str(1 << 40))
+    code, out = run_cli_bounded("verify", *ideal)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ring_too_large"
+    assert str(residue.WALK_MAX) in error["message"]
+    code, out = run_cli_bounded("classify", *ideal, "--output", "json")
+    assert code == 0 and json.loads(out)["witness"] is not None
 
 
 def test_classify_far_beyond_the_cap_answers():

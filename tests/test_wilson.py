@@ -119,10 +119,18 @@ def test_uniformizer_examples(catalog):
 
 
 def test_uniformizer_valuation_is_one(catalog):
-    for o in catalog.values():
+    # one membership test in P^2 picks what the valuations of g(theta) and
+    # g(theta)+p pick, at every sweep prime
+    orders = [*catalog.values(), make_order("x^3-2"), make_order("x^6+x^3+1")]
+    for o in orders:
         for p in (2, 3, 5, 7, 11, 13):
             for pd in factor_prime(o, p):
-                assert valuation(o, pd, uniformizer(o, pd)) == 1
+                pi = uniformizer(o, pd)
+                assert valuation(o, pd, pi) == 1
+                g = o.element_from_poly(pd.gen_poly)
+                first = next(x for x in (g, o.add(g, o.from_int(p)))
+                             if valuation(o, pd, x) == 1)
+                assert pi.coeffs == first.coeffs, pd
 
 
 # -- global classification -----------------------------------------------------
