@@ -439,27 +439,12 @@ class NumberFieldOrder:
         ca, cb = self._coerce(a), self._coerce(b)
         return OrderElement(tuple(x - y for x, y in zip(ca, cb)))
 
-    def neg(self, a: OrderElement) -> OrderElement:
-        return OrderElement(tuple(-x for x in self._coerce(a)))
-
     def mul(self, a: OrderElement, b: OrderElement) -> OrderElement:
         prod = poly_mul_z(self._coerce(a), self._coerce(b))
         return self.element_from_poly(prod)
 
     def mul_int(self, a: OrderElement, n: int) -> OrderElement:
         return OrderElement(tuple(n * x for x in self._coerce(a)))
-
-    def pow(self, a: OrderElement, k: int) -> OrderElement:
-        if k < 0:
-            raise ValueError("negative exponent")
-        out = self.one
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
 
     def norm(self, a: OrderElement) -> int:
         """Absolute norm |N(a)| = |Res(f, a(x))|, via the multiplication matrix.

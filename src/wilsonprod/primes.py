@@ -110,10 +110,6 @@ class PrimeIdealData:
     index: int
 
     @property
-    def even(self) -> bool:
-        return self.p == 2
-
-    @property
     def residue_size(self) -> int:
         return self.p ** self.f
 
@@ -250,10 +246,6 @@ class FactoredIdeal:
                 raise InvariantViolation(
                     f"prime factors must be distinct, {pd} is repeated")
             seen.add(key)
-
-    @property
-    def is_unit_ideal(self) -> bool:
-        return not self.factors
 
     @property
     def absolute_norm(self) -> int:

@@ -17,26 +17,27 @@ bounds that choose it are stated once, in the kernel section.
 The product and the census share one walk over the units.  It builds a
 flat unit mask of the box (one byte per element, tiled from small per-prime
 tables), then takes the box CHUNK positions at a time in one loop: each
-block's units are decoded to coordinates and folded into a running product
-of FOLD columns.  When the census is asked for, a second mask, tiled from
-per-prime tables of the classes with x^2 = 1 mod P, marks the candidates (a
-square root of 1 mod a is one mod every P | a); only the candidates of each
-block are squared and tested for x^2 = 1 mod a.  A ring keeps no unit
-array: `units`, `principal_units` and the dump build the whole array only
-when they are called.  A box of at most CHUNK positions is one block,
-multiplied as one tree, and a box of more than WALK_MAX positions is never
-walked.
+block's units are decoded to coordinates and streamed, SPAN columns at a
+time, into a running product of at most SPAN columns, which one tree
+multiplies out at the end.  When the census is asked for, a second mask,
+tiled from per-prime tables of the classes with x^2 = 1 mod P, marks the
+candidates (a square root of 1 mod a is one mod every P | a); only the
+candidates of each block are squared and tested for x^2 = 1 mod a.  A ring
+keeps no unit array: `units`, `principal_units` and the dump build the
+whole array only when they are called.  A box of more than WALK_MAX
+positions is never walked.
 
 The masks and every block-sized array a walk writes are slots of a scratch
 pool that each thread keeps (_take), so once a walk as large has run, a
 walk faults in no fresh pages.  Each slot grows to the largest walk's need
 and never shrinks: one byte per box position for each of the two masks,
-and at degree d 8*((2d+1)*CHUNK + (3d-1)*SPAN) bytes for the blocks, the
-decoded indices and the products (the tiles of a mask borrow the blocks'
-slot).  An integer entry takes 8 bytes of its slot in either lane, so the
-lanes share the pool.  Buffers under KEEP bytes are made fresh and not
-kept, so small walks leave the pool empty.  A walk runs to its end before
-it returns, so no walk finds its slots written over by another.
+and at degree d 8*((2d+1)*CHUNK + (4d-1)*SPAN) bytes for the blocks, the
+decoded indices, the running product and the products (the tiles of a
+mask borrow the blocks' slot).  An integer entry takes 8 bytes of its slot
+in either lane, so the lanes share the pool.  Buffers under KEEP bytes are
+made fresh and not kept, so small walks leave the pool empty.  A walk runs
+to its end before it returns, so no walk finds its slots written over by
+another.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
 fold rows, and unit and root tables are built once per context, not once
@@ -75,11 +76,9 @@ _LANES = ((np.int32, 1 << 30), (np.int64, 1 << 62))
 # the walk over the units takes the box this many positions at a time,
 # which bounds its temporaries near the cap
 CHUNK = 1 << 16
-# each block's units are multiplied down to this many columns before they
-# are multiplied into the running product
-FOLD = 1 << 10
-# the walk multiplies at most this many columns in one _np_mul call, which
-# bounds its work array to (3d-1)*SPAN entries (a few hundred KB)
+# the walk's running product has at most this many columns, and it
+# multiplies at most this many in one _np_mul call, which bounds its work
+# array to (3d-1)*SPAN entries (a few hundred KB)
 SPAN = 1 << 13
 # the scratch pool keeps no buffer of fewer bytes (256 KB): made fresh, one
 # that small comes from memory the allocator keeps and faults in next to no
@@ -511,12 +510,14 @@ class ResidueRing:
         """One pass over the units: their product, and with ``census`` the
         units x with x^2 = 1 as coefficient lists in box order.
 
-        A box of one block is multiplied out as one balanced tree.  Else
-        each block is folded in place down to FOLD columns and multiplied
-        into an accumulator of FOLD columns, which is multiplied out as a
-        tree at the end.  Coefficients are reduced mod the exponent e of
-        o/a after every multiplication and the product to its canonical
-        representative.
+        Each block's units are taken ``width`` = min(SPAN, unit count)
+        columns at a time into a running product ``acc`` of that many
+        columns, of which the first ``live`` hold a partial product: a part
+        is multiplied into the live columns it reaches and copied into the
+        ones past them, so every unit is multiplied or copied once.  One
+        balanced tree multiplies the live columns out at the end.
+        Coefficients are reduced mod the exponent e of o/a after every
+        multiplication and the product to its canonical representative.
         The census squares only the candidates of each block (see
         _root_mask) and keeps those whose square is 1 mod a.  Every array
         the size of a block that the walk writes is a view of the scratch
@@ -528,39 +529,39 @@ class ResidueRing:
         e = self.exponent
         dtype, terms, defer_mod = self._kernels
         args = (terms, e, d, defer_mod)
-        # columns set to 1 until a block reaches them: a later block can
-        # hold more units than the first
-        acc = np.repeat(np.array(self._one_coeffs, dtype=dtype)[:, None],
-                        FOLD, axis=1) if self.size > CHUNK else None
+        width = min(SPAN, self.unit_count)
+        acc = _take("product", d * width, dtype).reshape(d, width)
+        # one buffer for the census squares, the products into acc and the
+        # tree, none of more than width columns
+        work = _take("work", (3 * d - 1) * width, dtype)
         sieve = self._root_mask() if census else None
         roots = []
-        found = 0
+        found = live = 0
         for s in range(0, len(mask), CHUNK):
             cols = self._decode(mask, s, "units")
             k = cols.shape[1]
             found += k
-            cands = cols
-            if census and sieve is not None:
-                cands = self._decode(sieve, s, "candidates")
-            kc = cands.shape[1] if census else 0
-            # one buffer for the census square, the fold and the product
-            # into the accumulator, SPAN columns at a time
-            span = min(SPAN, max(kc, k // 2, min(k, FOLD), 1))
-            work = _take("work", (3 * d - 1) * span, dtype)
-            for c in range(0, kc, span):
-                part = cands[:, c:c + span]
-                sq = _np_mul(part, part, *args, work=work)
-                roots.append(part[:, _np_reduce(sq, self.basis, e,
-                                                self._one_coeffs)])
-            if acc is None:
-                col = _np_tree_product(cols, *args, out=cols, work=work)
-            else:
-                live = _np_fold(cols, FOLD, *args, work=work)
-                low = acc[:, :live]
-                _np_mul(low, cols[:, :live], *args, out=low, work=work)
+            if census:
+                cands = cols if sieve is None else \
+                    self._decode(sieve, s, "candidates")
+                for c in range(0, cands.shape[1], width):
+                    part = cands[:, c:c + width]
+                    sq = _np_mul(part, part, *args, work=work)
+                    roots.append(part[:, _np_reduce(sq, self.basis, e,
+                                                    self._one_coeffs)])
+            for c in range(0, k, width):
+                part = cols[:, c:c + width]
+                w = part.shape[1]
+                m = min(live, w)
+                if m:
+                    low = acc[:, :m]
+                    _np_mul(low, part[:, :m], *args, out=low, work=work)
+                # the columns no earlier part reached: a later block can
+                # hold more units than the first
+                acc[:, m:w] = part[:, m:]
+                live = max(live, w)
         self._check_units(found)
-        if acc is not None:
-            col = _np_tree_product(acc, *args, out=acc)
+        col = _np_tree_product(acc[:, :live], *args, work=work)
         product = self.reduce([int(c) for c in col])
         if not census:
             return product, None
@@ -667,8 +668,7 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 #     only when d*e^2*s is under the lane's bound (s = 1 + the largest
 #     column sum of the |fold rows|, see red_rows), the folded sums stay
 #     below d*e^2*s; without it they are reduced to [0, e) first and the
-#     fold stays within e + (d-1)*e^2/2.  _np_fold and _np_tree_product
-#     only call it.
+#     fold stays within e + (d-1)*e^2/2.  _np_tree_product only calls it.
 #   _np_reduce: with columns in [0, N), every quotient in [0, shift) and
 #     every basis entry below shift, a carried value stays within
 #     N + (d-1)*shift^2; N = e and a shift of at most e (e itself in the
@@ -846,25 +846,17 @@ def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
     (_fold_terms).  With ``defer_mod`` (see the kernel section for when it
     is safe) the coefficient reduction happens once, after folding the
     high-degree rows; else the convolution is reduced before folding as
-    well.  The arithmetic runs in
-    ``work``, a flat array of the operands' type (fresh when None), laid
-    out as a contiguous (3d-1, k) array, which keeps numpy on its fast path
-    for contiguous operands.  The products are left in its last d rows, and
+    well.  The arithmetic runs in ``work``, a flat array of the operands'
+    type of at least (3d-1)*k entries (fresh when None), laid out as a
+    contiguous (3d-1, k) array, which keeps numpy on its fast path for
+    contiguous operands.  The products are left in its last d rows, and
     copied to ``out`` when it is given, which may be ``a`` or ``b``:
-    returns ``out``, or else that view of ``work``.  A ``work`` of fewer
-    than (3d-1)*k entries is used for as many columns at a time as it
-    holds, and then ``out`` is needed.
+    returns ``out``, or else that view of ``work``.
     """
     k = a.shape[1]
     rows = 3 * d - 1
     if work is None:
         w = np.empty((rows, k), dtype=a.dtype)
-    elif len(work) < rows * k:
-        span = len(work) // rows
-        for s in range(0, k, span):
-            _np_mul(a[:, s:s + span], b[:, s:s + span], terms, n, d,
-                    defer_mod, out[:, s:s + span], work)
-        return out
     else:
         w = work[:rows * k].reshape(rows, k)
     c = w[:2 * d - 1]
@@ -895,36 +887,23 @@ def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
     return out
 
 
-def _np_fold(a: np.ndarray, width: int, terms: tuple, n: int,
-             d: int, defer_mod: bool, work: np.ndarray | None = None) -> int:
-    """Multiply the columns of a (d, count) array together in place, as a
-    balanced tree, until at most ``width`` are left; returns how many.
-
-    Each level multiplies the first half of the live columns by the last
-    half (or as many as bring the count down to ``width``) and keeps the
-    products in the first columns, so every operand row is a contiguous
-    slice; with an odd count the middle column waits for the next level.
-    ``work`` is _np_mul's (fresh, for count // 2 columns, when None).
-    """
-    live = a.shape[1]
-    if work is None and live > width:
-        work = np.empty((3 * d - 1) * (live // 2), dtype=a.dtype)
-    while live > width:
-        h = min(live // 2, live - width)
-        low = a[:, :h]
-        _np_mul(low, a[:, live - h:live], terms, n, d, defer_mod,
-                out=low, work=work)
-        live -= h
-    return live
-
-
 def _np_tree_product(units: np.ndarray, terms: tuple, n: int,
-                     d: int, defer_mod: bool, out: np.ndarray | None = None,
+                     d: int, defer_mod: bool,
                      work: np.ndarray | None = None) -> np.ndarray:
     """Product of the columns of a nonempty (d, count) array, as a balanced
-    tree.  The tree runs in ``out``, which is ``units`` itself, or in a
-    copy of ``units`` when None; ``work`` is _np_fold's."""
-    if out is None:
-        out = units.copy(order="C")
-    _np_fold(out, 1, terms, n, d, defer_mod, work)
-    return out[:, 0]
+    tree, in place: returns column 0 of ``units``, which holds it.
+
+    Each level multiplies the first half of the live columns by the last
+    half and keeps the products in the first columns, so every operand row
+    is a contiguous slice; with an odd count the middle column waits for
+    the next level.  ``work`` is _np_mul's, for count // 2 columns (fresh
+    at every level when None).
+    """
+    live = units.shape[1]
+    while live > 1:
+        h = live // 2
+        low = units[:, :h]
+        _np_mul(low, units[:, live - h:live], terms, n, d, defer_mod,
+                out=low, work=work)
+        live -= h
+    return units[:, 0]

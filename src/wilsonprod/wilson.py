@@ -24,7 +24,14 @@ from .errors import InvariantViolation, NotUniqueTorsion
 from .order import NumberFieldOrder, OrderElement
 # uniformizer lives in primes, next to valuation, and is part of this
 # module's interface as well
-from .primes import FactoredIdeal, PrimeIdealData, factor_prime, uniformizer
+from .primes import (
+    FactoredIdeal,
+    PrimeIdealData,
+    factor_prime,
+    is_prime,
+    trial_factor,
+    uniformizer,
+)
 from .residue import (
     DEFAULT_CAP,
     Census,
@@ -221,23 +228,8 @@ def classify_gauss(A: int) -> int:
     """
     if A < 2:
         raise ValueError("A must be at least 2")
-    if A == 4:
-        return -1
-    odd = A // 2 if A % 2 == 0 else A
-    if odd == 1 or odd % 2 == 0:
-        return 1
-    p = None
-    k = 3
-    while k * k <= odd:
-        if odd % k == 0:
-            p = k
-            break
-        k += 2
-    if p is None:
-        return -1  # odd itself is prime
-    while odd % p == 0:
-        odd //= p
-    return -1 if odd == 1 else 1
+    odd = A // 2 if A % 4 == 2 else A
+    return -1 if A == 4 or (odd % 2 and len(trial_factor(odd)) == 1) else 1
 
 
 def gauss_product(A: int) -> int:
@@ -304,7 +296,7 @@ def sweep_ideals(o: NumberFieldOrder, max_norm: int, *,
     every exponent <= exp_cap and norm <= max_norm, in a fixed order."""
     pds = []
     for p in range(2, prime_bound + 1):
-        if all(p % q for q in range(2, p)):
+        if is_prime(p):
             pds.extend(factor_prime(o, p))
 
     def rec(i: int, chosen: list, norm: int) -> Iterator[FactoredIdeal]:

