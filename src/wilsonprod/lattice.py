@@ -14,7 +14,7 @@ import math
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .order import NumberFieldOrder, OrderElement
+from .order import NumberFieldOrder
 
 
 def _hnf_pivot_rows(work: list[list[int]], d: int) -> list[list[int]]:
@@ -216,17 +216,6 @@ def ideal_power_lattice(
             f"index {lattice_det(basis)} of P^{n} differs from p^(nf) = "
             f"{p ** (n * f)}")
     return basis
-
-
-def principal_lattice(o: NumberFieldOrder, a: OrderElement) -> list[list[int]]:
-    """Lattice of the principal ideal (a), a != 0."""
-    d = o.degree
-    rows = []
-    cur = a
-    for _ in range(d):
-        rows.append(list(cur.coeffs))
-        cur = o.mul(cur, o.theta)
-    return rows_hnf(rows, d)
 
 
 def solve_comaximal(

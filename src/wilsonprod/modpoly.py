@@ -13,17 +13,13 @@ import random
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .order import poly_mul_z, poly_trim
+from .order import poly_degree as degree, poly_mul_z, poly_trim
 
 Poly = tuple
 
 
 def normalize(cs: Sequence[int], p: int) -> Poly:
     return poly_trim(c % p for c in cs)
-
-
-def degree(a: Poly) -> int:
-    return len(a) - 1
 
 
 def add(a: Poly, b: Poly, p: int) -> Poly:
@@ -46,18 +42,11 @@ def mul(a: Poly, b: Poly, p: int) -> Poly:
     return normalize(poly_mul_z(a, b), p)
 
 
-def scale(a: Poly, c: int, p: int) -> Poly:
-    c %= p
-    return poly_trim((x * c) % p for x in a)
-
-
 def monic(a: Poly, p: int) -> Poly:
-    if not a:
+    if not a or a[-1] == 1:
         return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    return scale(a, pow(lead, -1, p), p)
+    inv = pow(a[-1], -1, p)
+    return normalize((x * inv for x in a), p)
 
 
 def div_mod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:

@@ -408,10 +408,6 @@ class NumberFieldOrder:
         return self.element((n,))
 
     @property
-    def zero(self) -> OrderElement:
-        return self.from_int(0)
-
-    @property
     def one(self) -> OrderElement:
         return self.from_int(1)
 
@@ -434,10 +430,6 @@ class NumberFieldOrder:
     def add(self, a: OrderElement, b: OrderElement) -> OrderElement:
         ca, cb = self._coerce(a), self._coerce(b)
         return OrderElement(tuple(x + y for x, y in zip(ca, cb)))
-
-    def sub(self, a: OrderElement, b: OrderElement) -> OrderElement:
-        ca, cb = self._coerce(a), self._coerce(b)
-        return OrderElement(tuple(x - y for x, y in zip(ca, cb)))
 
     def mul(self, a: OrderElement, b: OrderElement) -> OrderElement:
         prod = poly_mul_z(self._coerce(a), self._coerce(b))

@@ -258,15 +258,11 @@ class FactoredIdeal:
         """Round-trippable text form, e.g. ``2^3`` or ``5^1@1; 13^2``."""
         if not self.factors:
             return "(1)"
-        return "; ".join(_ideal_label_term(pd, m) for pd, m in self.factors)
+        return "; ".join(f"{pd.p}^{m}" + (f"@{pd.index}" if pd.index else "")
+                         for pd, m in self.factors)
 
     def __str__(self) -> str:
         return self.label()
-
-
-def _ideal_label_term(pd: PrimeIdealData, m: int) -> str:
-    body = f"{pd.p}^{m}"
-    return body if pd.index == 0 else f"{body}@{pd.index}"
 
 
 def factor_element(o: NumberFieldOrder, a: OrderElement,

@@ -19,7 +19,8 @@ flat unit mask of the box (one byte per element, tiled from small per-prime
 tables), then takes the box CHUNK positions at a time in one loop: each
 block's units are decoded to coordinates and streamed, SPAN columns at a
 time, into a running product of at most SPAN columns, which one tree
-multiplies out at the end.  When the census is asked for, a second mask,
+multiplies out at the end, a narrow level of it as one matrix product with
+the structure tensor of o/eo.  When the census is asked for, a second mask,
 tiled from per-prime tables of the classes with x^2 = 1 mod P, marks the
 candidates (a square root of 1 mod a is one mod every P | a); only the
 candidates of each block are squared and tested for x^2 = 1 mod a.  A ring
@@ -29,19 +30,16 @@ positions is never walked.
 
 The masks and every block-sized array a walk writes are slots of a scratch
 pool that each thread keeps (_take), so once a walk as large has run, a
-walk faults in no fresh pages.  Each slot grows to the largest walk's need
-and never shrinks: one byte per box position for each of the two masks,
-and at degree d 8*((2d+1)*CHUNK + (4d-1)*SPAN) bytes for the blocks, the
-decoded indices, the running product and the products (the tiles of a
-mask borrow the blocks' slot).  An integer entry takes 8 bytes of its slot
-in either lane, so the lanes share the pool.  Buffers under KEEP bytes are
-made fresh and not kept, so small walks leave the pool empty.  A walk runs
+walk faults in no fresh pages.  The slots hold one byte per box position
+for each of the two masks and, at degree d, 8*((2d+1)*CHUNK + (4d-1)*SPAN)
+bytes for the blocks, the decoded indices, the running product and the
+products.  A narrow tree level's arrays are too small to keep.  A walk runs
 to its end before it returns, so no walk finds its slots written over by
 another.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
-fold rows, and unit and root tables are built once per context, not once
-per ring.
+fold rows, structure tensors, and unit and root tables are built once per
+context, not once per ring.
 """
 
 from __future__ import annotations
@@ -80,6 +78,10 @@ CHUNK = 1 << 16
 # multiplies at most this many in one _np_mul call, which bounds its work
 # array to (3d-1)*SPAN entries (a few hundred KB)
 SPAN = 1 << 13
+# a tree level is one structure-tensor product when its outer products have
+# at most this many entries, d*d a column, and the tensor too (d^3, so
+# d <= 16): past that one _np_mul call costs less
+NARROW = 1 << 12
 # the scratch pool keeps no buffer of fewer bytes (256 KB): made fresh, one
 # that small comes from memory the allocator keeps and faults in next to no
 # pages, and kept, it would only add to what a process of small walks holds
@@ -128,9 +130,23 @@ def _is_exponent(basis: list[list[int]], e: int, p: int) -> bool:
     return kills(e) and (e == 1 or not kills(e // p))
 
 
+def _memo(make):
+    """An OrderContext method that makes its value, never None, once per
+    context and argument tuple, and keeps it in the context."""
+    @functools.wraps(make)
+    def cached(self, *args):
+        key = (make.__name__, *args)
+        out = self._caches.get(key)
+        if out is None:
+            out = self._caches[key] = make(self, *args)
+        return out
+    return cached
+
+
 class OrderContext:
-    """What the residue rings of one order share, each built once: lattice
-    bases, uniformizers, fold rows, and unit and root tables.
+    """What the residue rings of one order share, each built once (_memo):
+    lattice bases, uniformizers, fold rows, structure tensors, and unit and
+    root tables.
 
     A context lives for one top-level call (one sweep, one CLI request, one
     bare verify_ideal or classify_global) and is never stored on the order,
@@ -140,12 +156,9 @@ class OrderContext:
 
     def __init__(self, o: NumberFieldOrder):
         self.order = o
-        self._bases: dict = {}
-        self._pis: dict = {}
-        self._tables: dict = {}
-        self._exponents: dict = {}
-        self._red_rows: dict = {}
+        self._caches: dict = {}
 
+    @_memo
     def basis(self, factors: tuple) -> list[list[int]]:
         """HNF basis of prod P^m over ``factors``, (PrimeIdealData, m) pairs.
 
@@ -155,26 +168,24 @@ class OrderContext:
         made, for what the box representatives and the bounds of the
         rings rely on: every entry in [0, pivot), and the norm as index.
         """
-        out = self._bases.get(factors)
-        if out is None:
-            if len(factors) > 1:
-                out = lattice.comaximal_product(self.order,
-                                                self.basis(factors[:-1]),
-                                                self.basis(factors[-1:]))
-            elif factors:
-                (pd, m), = factors
-                out = lattice.ideal_power_lattice(self.order, pd.p,
-                                                  pd.gen_poly, m)
-            else:
-                out = np.eye(self.order.degree, dtype=int).tolist()
-            ideal = FactoredIdeal(factors)
-            if not lattice.is_reduced(out) or \
-                    lattice.lattice_det(out) != ideal.absolute_norm:
-                raise InvariantViolation(
-                    f"lattice basis {out} of {self.order}/({ideal.label()}) "
-                    f"is not in reduced Hermite normal form of index "
-                    f"{ideal.absolute_norm}")
-            self._bases[factors] = out
+        if len(factors) > 1:
+            out = lattice.comaximal_product(self.order,
+                                            self.basis(factors[:-1]),
+                                            self.basis(factors[-1:]))
+        elif factors:
+            (pd, m), = factors
+            out = lattice.ideal_power_lattice(self.order, pd.p, pd.gen_poly,
+                                              m)
+        else:
+            d = self.order.degree
+            out = [[int(i == j) for j in range(d)] for i in range(d)]
+        ideal = FactoredIdeal(factors)
+        if not lattice.is_reduced(out) or \
+                lattice.lattice_det(out) != ideal.absolute_norm:
+            raise InvariantViolation(
+                f"lattice basis {out} of {self.order}/({ideal.label()}) is "
+                f"not in reduced Hermite normal form of index "
+                f"{ideal.absolute_norm}")
         return out
 
     def exponent(self, factors: tuple) -> int:
@@ -190,23 +201,19 @@ class OrderContext:
         """
         return math.lcm(*(self._exponent(pd, m) for pd, m in factors))
 
+    @_memo
     def _exponent(self, pd: PrimeIdealData, m: int) -> int:
-        e = self._exponents.get((pd, m))
-        if e is None:
-            e = pd.p ** -(-m // pd.e)
-            basis = self.basis(((pd, m),))
-            if not _is_exponent(basis, e, pd.p):
-                raise InvariantViolation(
-                    f"{e} is not the exponent of {self.order}/"
-                    f"({FactoredIdeal(((pd, m),)).label()}), basis {basis}")
-            self._exponents[pd, m] = e
+        e = pd.p ** -(-m // pd.e)
+        basis = self.basis(((pd, m),))
+        if not _is_exponent(basis, e, pd.p):
+            raise InvariantViolation(
+                f"{e} is not the exponent of {self.order}/"
+                f"({FactoredIdeal(((pd, m),)).label()}), basis {basis}")
         return e
 
+    @_memo
     def uniformizer(self, pd: PrimeIdealData) -> OrderElement:
-        pi = self._pis.get(pd)
-        if pi is None:
-            pi = self._pis[pd] = uniformizer(self.order, pd)
-        return pi
+        return uniformizer(self.order, pd)
 
     @functools.cached_property
     def fold_rows(self) -> list[tuple]:
@@ -218,23 +225,34 @@ class OrderContext:
             rows.append(rem + (0,) * (d - len(rem)))
         return rows
 
+    @_memo
     def red_rows(self, n: int) -> tuple[tuple, int]:
         """The fold rows as symmetric residues mod n, as their nonzero
         (t, m, coef) terms (_fold_terms), and 1 + the largest column sum of
-        their sizes, the factor by which the fold can grow a coefficient;
-        cached per n.
+        their sizes, the factor by which the fold can grow a coefficient.
 
         Only their residues mod n are ever used, and symmetric residues keep
         the kernels' bounds independent of the size of f's coefficients.
         """
-        out = self._red_rows.get(n)
-        if out is None:
-            half = n // 2
-            rows = [[(c + half) % n - half for c in row]
-                    for row in self.fold_rows]
-            grow = 1 + max(sum(abs(row[m]) for row in rows)
-                           for m in range(self.order.degree))
-            out = self._red_rows[n] = (_fold_terms(rows), grow)
+        half = n // 2
+        rows = [[(c + half) % n - half for c in row] for row in self.fold_rows]
+        grow = 1 + max(sum(abs(row[m]) for row in rows)
+                       for m in range(self.order.degree))
+        return _fold_terms(rows), grow
+
+    @_memo
+    def tensor(self, terms: tuple, dtype) -> np.ndarray:
+        """The structure tensor of fold terms from red_rows, for
+        _np_tensor_mul: the (d, d*d) matrix, in ``dtype``, whose column
+        i*d+j holds theta^i * theta^j mod f, that is column i+j of the
+        identity beside the transposed fold rows.  Keyed by the terms, which
+        every modulus above twice each fold coefficient shares."""
+        d = self.order.degree
+        fold = np.eye(d, 2 * d - 1, dtype=dtype)
+        for t, m, coef in terms:
+            fold[m, d + t] = coef
+        out = fold[:, np.add.outer(np.arange(d), np.arange(d)).ravel()]
+        out.flags.writeable = False
         return out
 
     def unit_table(self, pd: PrimeIdealData,
@@ -244,7 +262,7 @@ class OrderContext:
         P only depends on the coordinates mod p (p*e_i lies in P), so
         _np_unit_mask tiles this table out to the full box.
         """
-        return self._table(pd, diag, roots=False)
+        return self._table(pd, tuple(min(h, pd.p) for h in diag), False)
 
     def root_table(self, pd: PrimeIdealData,
                    diag: Sequence[int]) -> np.ndarray:
@@ -255,44 +273,40 @@ class OrderContext:
         this is the unit table itself, the same array, so a walk can tell
         that it sieves nothing.
         """
-        return self._table(pd, diag, roots=True)
+        return self._table(pd, tuple(min(h, pd.p) for h in diag), True)
 
-    def _table(self, pd: PrimeIdealData, diag: Sequence[int],
+    @_memo
+    def _table(self, pd: PrimeIdealData, small: tuple,
                roots: bool) -> np.ndarray:
-        """A unit or root table, made by enumerating the small box CHUNK
-        classes at a time: each class, or its square mod p, is tested
-        against 0 or 1 mod P.  Cached per (P, small box)."""
-        small = tuple(min(h, pd.p) for h in diag)
-        key = (pd, small, roots)
-        table = self._tables.get(key)
-        if table is None:
-            p, d = pd.p, self.order.degree
-            basis = self.basis(((pd, 1),))
-            n = math.prod(small)
-            # o/P has exponent p, which divides the exponent of every ring
-            # above P, so the lane of a ring that walks holds for the table
-            dtype = _lane(d, p, n)[0]
+        """A unit or root table of the small box, made by enumerating it
+        CHUNK classes at a time: each class, or its square mod p, is tested
+        against 0 or 1 mod P."""
+        p, d = pd.p, self.order.degree
+        basis = self.basis(((pd, 1),))
+        n = math.prod(small)
+        # o/P has exponent p, which divides the exponent of every ring above
+        # P, so the lane of a ring that walks holds for the table
+        dtype = _lane(d, p, n)[0]
+        if roots:
+            target = lattice.reduce_mod(basis, self.order.one.coeffs)
+            # coefficients mod p, which p*o in P allows, reduced before the
+            # fold as well
+            args = (self.red_rows(p)[0], p, d, False)
+        else:
+            target = (0,) * d
+        table = np.zeros(n, dtype=bool)
+        for s in range(0, n, CHUNK):
+            box = _np_coords(np.arange(s, min(n, s + CHUNK), dtype=dtype),
+                             small)
             if roots:
-                target = lattice.reduce_mod(basis, self.order.one.coeffs)
-                # coefficients mod p, which p*o in P allows, reduced before
-                # the fold as well
-                args = (self.red_rows(p)[0], p, d, False)
-            else:
-                target = (0,) * d
-            table = np.zeros(n, dtype=bool)
-            for s in range(0, n, CHUNK):
-                box = _np_coords(np.arange(s, min(n, s + CHUNK), dtype=dtype),
-                                 small)
-                if roots:
-                    box = _np_mul(box, box, *args)
-                table[s + _np_reduce(box, basis, p, target)] = True
-            table = table.reshape(tuple(h for h in small if h > 1))
-            if not roots:
-                table = ~table
-            elif np.array_equal(table, units := self.unit_table(pd, diag)):
-                table = units
-            table.flags.writeable = False
-            self._tables[key] = table
+                box = _np_mul(box, box, *args)
+            table[s + _np_reduce(box, basis, p, target)] = True
+        table = table.reshape(tuple(h for h in small if h > 1))
+        if not roots:
+            table = ~table
+        elif np.array_equal(table, units := self._table(pd, small, False)):
+            table = units
+        table.flags.writeable = False
         return table
 
 
@@ -333,6 +347,7 @@ class _Kernels(NamedTuple):
     dtype: type
     terms: tuple
     defer_mod: bool
+    tensor: np.ndarray | None
 
 
 class ResidueRing:
@@ -373,10 +388,10 @@ class ResidueRing:
     @functools.cached_property
     def _kernels(self) -> _Kernels | None:
         """The kernels' setting: the narrowest lane whose bound holds, the
-        fold terms mod e, and whether _np_mul may defer its coefficient
-        reduction past the fold in that lane; None beyond every lane.
-        Chosen on first use, so a ring that only evaluates a witness never
-        pays for it."""
+        fold terms mod e, whether _np_mul may defer its coefficient
+        reduction past the fold in that lane, and then the structure tensor
+        of the narrow tree levels; None beyond every lane.  Chosen on first
+        use, so a ring that only evaluates a witness never pays for it."""
         e = self.exponent
         d = self.order.degree
         lane = _lane(d, e, self.size)
@@ -386,7 +401,10 @@ class ResidueRing:
         terms, grow = self.context.red_rows(e)
         # with "defer", coefficients are reduced only after the high-degree
         # columns of the convolution are folded back in
-        return _Kernels(dtype, terms, d * e * e * grow < safe)
+        defer = d * e * e * grow < safe
+        tensor = self.context.tensor(terms, dtype) \
+            if defer and d ** 3 <= NARROW else None
+        return _Kernels(dtype, terms, defer, tensor)
 
     @property
     def _np_ok(self) -> bool:
@@ -410,11 +428,6 @@ class ResidueRing:
         prod = self.order.mul(self.order.element(x.coeffs),
                               self.order.element(y.coeffs))
         return self.reduce(prod)
-
-    def is_unit(self, x: ResidueElement) -> bool:
-        return all(not lattice.contains(self.context.basis(((pd, 1),)),
-                                        x.coeffs)
-                   for pd, _ in self.modulus.factors)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -514,20 +527,16 @@ class ResidueRing:
         columns at a time into a running product ``acc`` of that many
         columns, of which the first ``live`` hold a partial product: a part
         is multiplied into the live columns it reaches and copied into the
-        ones past them, so every unit is multiplied or copied once.  One
-        balanced tree multiplies the live columns out at the end.
-        Coefficients are reduced mod the exponent e of o/a after every
-        multiplication and the product to its canonical representative.
-        The census squares only the candidates of each block (see
-        _root_mask) and keeps those whose square is 1 mod a.  Every array
-        the size of a block that the walk writes is a view of the scratch
-        pool.
+        ones past them, so every unit is multiplied or copied once, and one
+        tree multiplies the live columns out at the end.  The census squares
+        only the candidates of each block (see _root_mask) and keeps those
+        whose square is 1 mod a.
         """
         d = len(self.diag)
         # the mask first: _units_array refuses a ring it cannot walk
         mask = self._units_array()
         e = self.exponent
-        dtype, terms, defer_mod = self._kernels
+        dtype, terms, defer_mod, tensor = self._kernels
         args = (terms, e, d, defer_mod)
         width = min(SPAN, self.unit_count)
         acc = _take("product", d * width, dtype).reshape(d, width)
@@ -561,7 +570,7 @@ class ResidueRing:
                 acc[:, m:w] = part[:, m:]
                 live = max(live, w)
         self._check_units(found)
-        col = _np_tree_product(acc[:, :live], *args, work=work)
+        col = _np_tree_product(acc[:, :live], *args, work=work, tensor=tensor)
         product = self.reduce([int(c) for c in col])
         if not census:
             return product, None
@@ -668,7 +677,12 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 #     only when d*e^2*s is under the lane's bound (s = 1 + the largest
 #     column sum of the |fold rows|, see red_rows), the folded sums stay
 #     below d*e^2*s; without it they are reduced to [0, e) first and the
-#     fold stays within e + (d-1)*e^2/2.  _np_tree_product only calls it.
+#     fold stays within e + (d-1)*e^2/2.
+#   _np_tensor_mul: each outer product a_i*b_j is below e^2, and row k of
+#     the structure tensor has sizes adding up to at most d*s (at most d
+#     pairs i+j meet theta^k, and at most d each fold row, of entry k), so
+#     every partial sum of the matrix product is below d*e^2*s: the bound
+#     of defer_mod, without which a ring has no tensor.
 #   _np_reduce: with columns in [0, N), every quotient in [0, shift) and
 #     every basis entry below shift, a carried value stays within
 #     N + (d-1)*shift^2; N = e and a shift of at most e (e itself in the
@@ -889,21 +903,41 @@ def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
 
 def _np_tree_product(units: np.ndarray, terms: tuple, n: int,
                      d: int, defer_mod: bool,
-                     work: np.ndarray | None = None) -> np.ndarray:
+                     work: np.ndarray | None = None,
+                     tensor: np.ndarray | None = None) -> np.ndarray:
     """Product of the columns of a nonempty (d, count) array, as a balanced
     tree, in place: returns column 0 of ``units``, which holds it.
 
     Each level multiplies the first half of the live columns by the last
     half and keeps the products in the first columns, so every operand row
     is a contiguous slice; with an odd count the middle column waits for
-    the next level.  ``work`` is _np_mul's, for count // 2 columns (fresh
-    at every level when None).
+    the next level.  A level of h columns is narrow when d*d*h <= NARROW,
+    and given ``tensor`` (OrderContext.tensor; only with defer_mod), a
+    narrow level is one _np_tensor_mul, which makes 3 numpy calls where
+    _np_mul makes about 3d + the fold terms.  Every other level is one
+    _np_mul, with ``work`` for count // 2 columns (fresh when None).
     """
     live = units.shape[1]
     while live > 1:
         h = live // 2
         low = units[:, :h]
-        _np_mul(low, units[:, live - h:live], terms, n, d, defer_mod,
-                out=low, work=work)
+        high = units[:, live - h:live]
+        if tensor is not None and d * d * h <= NARROW:
+            _np_tensor_mul(low, high, tensor, n, low)
+        else:
+            _np_mul(low, high, terms, n, d, defer_mod, out=low, work=work)
         live -= h
     return units[:, 0]
+
+
+def _np_tensor_mul(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, n: int,
+                   out: np.ndarray) -> np.ndarray:
+    """The columnwise products of _np_mul with defer_mod, as one matrix
+    product: ``tensor`` (OrderContext.tensor) times the (d*d, k) outer
+    products a_i*b_j of the columns, reduced mod n into ``out``, which may
+    be ``a`` or ``b``; returns ``out``.  Its bound is defer_mod's (see the
+    kernel section); its temporaries are fresh, as _np_tree_product's
+    narrow levels are too small for the scratch pool to keep."""
+    d, k = a.shape
+    outer = (a[:, None] * b).reshape(d * d, k)
+    return np.remainder(tensor @ outer, n, out=out)

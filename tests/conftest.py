@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import wilsonprod
+from wilsonprod import lattice
 from wilsonprod.order import make_order
 
 # name -> defining polynomial (constant first).  All are maximal orders:
@@ -47,6 +48,22 @@ def group_sum_enumerated(spec):
         for i, c in enumerate(el):
             totals[i] += c
     return tuple(t % n for t, n in zip(totals, spec.cyclic_orders))
+
+
+def is_unit(ring, x):
+    """Does the class ``x`` of ``ring`` lie outside every prime divisor of
+    its modulus?  The scalar oracle for the unit masks."""
+    return all(not lattice.contains(ring.context.basis(((pd, 1),)), x.coeffs)
+               for pd, _ in ring.modulus.factors)
+
+
+def principal_lattice(o, a):
+    """HNF basis of the lattice of the principal ideal (a), a != 0."""
+    rows, cur = [], a
+    for _ in range(o.degree):
+        rows.append(list(cur.coeffs))
+        cur = o.mul(cur, o.theta)
+    return lattice.rows_hnf(rows, o.degree)
 
 
 _BOUNDED_MAIN = """\

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -35,7 +36,7 @@ from wilsonprod.wilson import (
     verify_ideal,
 )
 
-from conftest import CATALOG_POLYS
+from conftest import CATALOG_POLYS, is_unit
 
 
 def ring_mod_int(o, a_int, cap=1 << 20):
@@ -151,6 +152,24 @@ def test_two_builds_of_one_ring_are_equal(catalog):
     assert ring == build_residue_ring(o, a)
     assert hash(ring) == hash(build_residue_ring(o, a))
     assert ring != build_residue_ring(o, parse_ideal(o, "5^1@1"))
+
+
+def test_a_ring_that_cannot_defer_takes_no_tensor(monkeypatch):
+    # the narrow level holds only to defer_mod's bound: the int32 ring of
+    # test_non_deferred_reduction must enumerate without it, and a ring of
+    # the same order that defers takes it
+    def fail(*args):
+        raise AssertionError("tensor taken")
+
+    monkeypatch.setattr(residue.OrderContext, "tensor", fail)
+    monkeypatch.setattr(residue, "_np_tensor_mul", fail)
+    o = make_order("x^8+123456789x^3+1")
+    res = verify_ideal(o, parse_ideal(o, "5^1; 113^1"))
+    assert not res.ring._defer_mod
+    assert res.match and res.census.d2 == 2
+    ring = build_residue_ring(o, parse_ideal(o, "7^1"))
+    with pytest.raises(AssertionError, match="tensor taken"):
+        ring.unit_product()
 
 
 def test_non_deferred_reduction():
@@ -328,7 +347,7 @@ def test_root_tables_match_scalar_squares(poly, label, _):
 def test_sieved_census_matches_scalar_roots(poly, label, sieved):
     o = make_order(poly)
     ring = build_residue_ring(o, parse_ideal(o, label))
-    units = [x for x in ring.elements() if ring.is_unit(x)]
+    units = [x for x in ring.elements() if is_unit(ring, x)]
     roots = [x for x in units if ring.mul(x, x) == ring.one]
     census = ring.order2_census()
     assert census.elements == roots  # in box order
@@ -350,7 +369,7 @@ def test_census_of_a_small_box_squares_every_unit(poly, label):
     o = make_order(poly)
     ring = build_residue_ring(o, parse_ideal(o, label))
     assert ring._root_mask() is None
-    units = [x for x in ring.elements() if ring.is_unit(x)]
+    units = [x for x in ring.elements() if is_unit(ring, x)]
     assert ring.order2_census().elements == \
         [x for x in units if ring.mul(x, x) == ring.one]
 
@@ -362,8 +381,8 @@ def test_scalar_ops(catalog):
     i = ring.reduce([0, 1])
     assert (i * i).coeffs == ring.reduce([-1, 0]).coeffs
     assert (i * i) * (i * i) == ring.one
-    assert ring.is_unit(i)
-    assert not ring.is_unit(ring.reduce([1, 1]))  # 1+i generates P
+    assert is_unit(ring, i)
+    assert not is_unit(ring, ring.reduce([1, 1]))  # 1+i generates P
 
 
 def test_elements_listing(catalog):
@@ -484,8 +503,9 @@ def test_unit_group_orders_multiply(catalog):
 
 def test_python_fallback_agrees(catalog):
     # the kernels against a pure-Python reference built only from the
-    # scalar ring API (elements, is_unit, mul); prime powers, composites whose size is not a power of two (the
-    # general modulus path of the kernels) and quartic rings; unit counts
+    # scalar ring API (elements, mul) and the is_unit oracle; prime powers,
+    # composites whose size is not a power of two (the general modulus path
+    # of the kernels) and quartic rings; unit counts
     # that are not powers of two leave an odd column at some tree level;
     # the large-coefficient ring has fold rows far beyond |o/a|
     cases = ((catalog["rational"], "2^3"), (catalog["gaussian"], "2^3"),
@@ -496,7 +516,7 @@ def test_python_fallback_agrees(catalog):
              (make_order("x^2+3377699720527872x+1"), "5^3; 3^2"))
     for o, label in cases:
         ring = build_residue_ring(o, parse_ideal(o, label))
-        units = [x for x in ring.elements() if ring.is_unit(x)]
+        units = [x for x in ring.elements() if is_unit(ring, x)]
         product = ring.one
         for x in units:
             product = ring.mul(product, x)
@@ -555,7 +575,7 @@ def test_block_boundaries_match_scalar_reference(monkeypatch, poly, label,
     counts = [np.count_nonzero(mask[s:s + chunk])
               for s in range(0, len(mask), chunk)]
     assert counts[0] < max(counts[1:]) and ring.size % chunk, counts
-    units = [x for x in ring.elements() if ring.is_unit(x)]
+    units = [x for x in ring.elements() if is_unit(ring, x)]
     product = ring.one
     for x in units:
         product = ring.mul(product, x)
@@ -659,6 +679,18 @@ def _garbage(rng, *shape):
     return rng.integers(-2 ** 40, 2 ** 40, size=shape)
 
 
+def _structure_tensor(red, dtype):
+    # column i*d+j holds theta^(i+j): a power below d, or the fold row
+    d = red.shape[1]
+    out = np.zeros((d, d * d), dtype=dtype)
+    for i, j in itertools.product(range(d), repeat=2):
+        if i + j < d:
+            out[i + j, i * d + j] = 1
+        else:
+            out[:, i * d + j] = red[i + j - d]
+    return out
+
+
 @pytest.mark.parametrize("n", [1024, 999])
 @pytest.mark.parametrize("d", range(1, 7))
 def test_kernels_into_scratch_match_fresh_arrays(d, n):
@@ -688,6 +720,27 @@ def test_kernels_into_scratch_match_fresh_arrays(d, n):
         col = residue._np_tree_product(
             got, *args, work=_garbage(rng, (3 * d - 1) * (k // 2)))
         assert np.array_equal(col, want), defer
+
+    # the narrow level, its output aliasing either operand, as _np_mul with
+    # defer_mod gives it
+    args = (residue._fold_terms(red), n, d, True)
+    tensor = _structure_tensor(red, np.int64)
+    want = residue._np_mul(a, b, *args)
+    got = a.copy()
+    assert residue._np_tensor_mul(got, b, tensor, n, got) is got
+    assert np.array_equal(got, want)
+    got = b.copy()
+    residue._np_tensor_mul(a, got, tensor, n, got)
+    assert np.array_equal(got, want)
+    # the tree at the widest narrow first level and the first wide one
+    wide = residue.NARROW // (d * d) + 1
+    for h in (1, wide - 1, wide):
+        units = rng.integers(0, n, size=(d, 2 * h))
+        want = residue._np_tree_product(units.copy(), *args)
+        got = units.copy()
+        col = residue._np_tree_product(got, *args, work=_garbage(
+            rng, (3 * d - 1) * h), tensor=tensor)
+        assert np.array_equal(col, want), h
 
     x = rng.integers(-n * n, n * n, size=(d, k))
     want = residue._np_mod(x, n)
@@ -863,6 +916,41 @@ def test_both_lanes_enumerate_cli_rings_alike(poly, label):
     assert ring._kernels.dtype is np.int32
     assert _walk_outputs(o, label, np.int32, False) == \
         _walk_outputs(o, label, np.int64, False)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("lane", range(len(residue._LANES)))
+def test_narrow_level_holds_at_the_lane_bound(d, lane):
+    # the largest exponent each lane admits at degree d and the widest fold
+    # rows with which defer_mod still holds there: the narrow level must
+    # give what _np_mul gives on Python ints, with no wraparound
+    dtype, safe = residue._LANES[lane]
+    e = math.isqrt((safe - 1) // (2 * d + 4))
+    assert residue._lane(d, e, e)[0] is dtype
+    rng = np.random.default_rng(d)
+    k = 64
+    a = rng.integers(0, e, size=(d, k))
+    b = rng.integers(0, e, size=(d, k))
+    a[:, :8] = b[:, :8] = e - 1
+    # fold row 0 meets the most pairs i+j; each column sums to the largest
+    # |fold| that defer_mod admits
+    wide = (safe - 1) // (d * e * e) - 1
+    for sign in (1, -1):
+        red = np.zeros((d - 1, d), dtype=np.int64)
+        red[:1] = sign * wide
+        terms = residue._fold_terms(red)
+        assert d * e * e * (1 + wide * (d > 1)) < safe
+        want = residue._np_mul(a.astype(object), b.astype(object), terms, e,
+                               d, True)
+        tensor = _structure_tensor(red, dtype)
+        got = a.astype(dtype)
+        residue._np_tensor_mul(got, b.astype(dtype), tensor, e, got)
+        assert got.dtype == dtype
+        assert np.array_equal(got, want.astype(dtype)), sign
+        want = residue._np_tree_product(a.astype(object), terms, e, d, True)
+        got = residue._np_tree_product(a.astype(dtype), terms, e, d, True,
+                                       tensor=tensor)
+        assert np.array_equal(got, want.astype(dtype)), sign
 
 
 @pytest.mark.parametrize("d", range(1, 9))

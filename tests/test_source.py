@@ -16,3 +16,12 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_mutant_applies_once():
+    # the committed mutant list fails loudly when the code it mutates moves
+    from mutants import MUTANTS
+
+    for m in MUTANTS:
+        assert (SRC / m.file).read_text().count(m.old) == 1, (m.file, m.old)
+        assert m.new != m.old and m.why, m.old

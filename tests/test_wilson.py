@@ -35,7 +35,7 @@ from wilsonprod.wilson import (
     witness_element,
 )
 
-from conftest import group_sum_enumerated
+from conftest import group_sum_enumerated, is_unit
 
 
 # -- abstract abelian groups ---------------------------------------------------
@@ -203,7 +203,7 @@ def test_classify_composite_crt_embedding():
     assert ring.unit_product().coeffs == (3, 0)
     pi = uniformizer(o, res.prime)
     naive = ring.reduce(o.add(o.one, pi))
-    assert not ring.is_unit(naive)  # why the embedding is necessary
+    assert not is_unit(ring, naive)  # why the embedding is necessary
 
 
 def test_verify_ideal_reports(catalog):
