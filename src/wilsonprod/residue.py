@@ -11,8 +11,10 @@ Enumeration-heavy operations (unit listing, the all-units product, the
 square-roots-of-1 census) run on numpy integer arrays, with coefficients
 reduced modulo the exponent e of o/a between multiplications: the least
 s > 0 with s*o inside a, so reducing by it never changes a residue class.
-Each ring picks its kernels' lane, int32 or int64, on its first walk; the
-bounds that choose it are stated once, in the kernel section.
+Each exponent has one kernel setting (OrderContext.kernels): the lane,
+int32 or int64, the fold terms mod e, and whether the reduction waits until
+after the fold; the bounds that choose it are stated once, in the kernel
+section.
 
 The product and the census share one walk over the units.  It builds a
 flat unit mask of the box (one byte per element, tiled from small per-prime
@@ -38,8 +40,8 @@ to its end before it returns, so no walk finds its slots written over by
 another.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
-fold rows, structure tensors, and unit and root tables are built once per
-context, not once per ring.
+kernel settings, structure tensors, and unit and root tables are built once
+per context, not once per ring.
 """
 
 from __future__ import annotations
@@ -131,13 +133,14 @@ def _is_exponent(basis: list[list[int]], e: int, p: int) -> bool:
 
 
 def _memo(make):
-    """An OrderContext method that makes its value, never None, once per
-    context and argument tuple, and keeps it in the context."""
+    """An OrderContext method that makes its value, None included, once per
+    context and argument tuple, and keeps it in the context; a hit hashes
+    its key once (the frozen dataclasses in keys keep no hash)."""
     @functools.wraps(make)
     def cached(self, *args):
         key = (make.__name__, *args)
-        out = self._caches.get(key)
-        if out is None:
+        out = self._caches.get(key, _memo)
+        if out is _memo:
             out = self._caches[key] = make(self, *args)
         return out
     return cached
@@ -145,8 +148,8 @@ def _memo(make):
 
 class OrderContext:
     """What the residue rings of one order share, each built once (_memo):
-    lattice bases, uniformizers, fold rows, structure tensors, and unit and
-    root tables.
+    lattice bases, uniformizers, the kernel setting of each exponent and
+    its structure tensor, and unit and root tables.
 
     A context lives for one top-level call (one sweep, one CLI request, one
     bare verify_ideal or classify_global) and is never stored on the order,
@@ -226,23 +229,30 @@ class OrderContext:
         return rows
 
     @_memo
-    def red_rows(self, n: int) -> tuple[tuple, int]:
-        """The fold rows as symmetric residues mod n, as their nonzero
-        (t, m, coef) terms (_fold_terms), and 1 + the largest column sum of
-        their sizes, the factor by which the fold can grow a coefficient.
-
-        Only their residues mod n are ever used, and symmetric residues keep
-        the kernels' bounds independent of the size of f's coefficients.
-        """
-        half = n // 2
-        rows = [[(c + half) % n - half for c in row] for row in self.fold_rows]
-        grow = 1 + max(sum(abs(row[m]) for row in rows)
-                       for m in range(self.order.degree))
-        return _fold_terms(rows), grow
+    def kernels(self, e: int) -> _Kernels | None:
+        """The kernel setting of exponent e, None beyond every lane: the
+        narrowest lane whose bound holds (_lane), the nonzero (t, m, coef)
+        terms (_fold_terms) of the fold rows as symmetric residues mod e,
+        and whether _np_mul may defer its coefficient reduction past the
+        fold in that lane.  The rings of exponent e and the tables of o/P
+        with p = e run in it.  Only the rows' residues mod e are used, and
+        symmetric ones keep the kernels' bounds independent of the size of
+        f's coefficients."""
+        d = self.order.degree
+        if (lane := _lane(d, e)) is None:
+            return None
+        dtype, safe = lane
+        half = e // 2
+        rows = [[(c + half) % e - half for c in row] for row in self.fold_rows]
+        # the fold can grow a coefficient by 1 + the largest column sum of
+        # the rows' sizes; with defer_mod, coefficients are reduced only
+        # after the high-degree columns of the convolution are folded in
+        grow = 1 + max(sum(abs(row[m]) for row in rows) for m in range(d))
+        return _Kernels(dtype, _fold_terms(rows), d * e * e * grow < safe)
 
     @_memo
     def tensor(self, terms: tuple, dtype) -> np.ndarray:
-        """The structure tensor of fold terms from red_rows, for
+        """The structure tensor of fold terms from kernels, for
         _np_tensor_mul: the (d, d*d) matrix, in ``dtype``, whose column
         i*d+j holds theta^i * theta^j mod f, that is column i+j of the
         identity beside the transposed fold rows.  Keyed by the terms, which
@@ -285,13 +295,12 @@ class OrderContext:
         basis = self.basis(((pd, 1),))
         n = math.prod(small)
         # o/P has exponent p, which divides the exponent of every ring above
-        # P, so the lane of a ring that walks holds for the table
-        dtype = _lane(d, p, n)[0]
+        # P, so p has a setting whenever such a ring walks; the table runs
+        # in it, its coefficients mod p, which p*o in P allows
+        dtype, terms, defer_mod = self.kernels(p)
         if roots:
             target = lattice.reduce_mod(basis, self.order.one.coeffs)
-            # coefficients mod p, which p*o in P allows, reduced before the
-            # fold as well
-            args = (self.red_rows(p)[0], p, d, False)
+            args = (terms, p, d, defer_mod)
         else:
             target = (0,) * d
         table = np.zeros(n, dtype=bool)
@@ -342,12 +351,11 @@ class Census(NamedTuple):
 
 
 class _Kernels(NamedTuple):
-    """How a ring's walks run the kernels (see ResidueRing._kernels)."""
+    """How the kernels run at one exponent (see OrderContext.kernels)."""
 
     dtype: type
     terms: tuple
     defer_mod: bool
-    tensor: np.ndarray | None
 
 
 class ResidueRing:
@@ -387,24 +395,10 @@ class ResidueRing:
 
     @functools.cached_property
     def _kernels(self) -> _Kernels | None:
-        """The kernels' setting: the narrowest lane whose bound holds, the
-        fold terms mod e, whether _np_mul may defer its coefficient
-        reduction past the fold in that lane, and then the structure tensor
-        of the narrow tree levels; None beyond every lane.  Chosen on first
-        use, so a ring that only evaluates a witness never pays for it."""
-        e = self.exponent
-        d = self.order.degree
-        lane = _lane(d, e, self.size)
-        if lane is None:
-            return None
-        dtype, safe = lane
-        terms, grow = self.context.red_rows(e)
-        # with "defer", coefficients are reduced only after the high-degree
-        # columns of the convolution are folded back in
-        defer = d * e * e * grow < safe
-        tensor = self.context.tensor(terms, dtype) \
-            if defer and d ** 3 <= NARROW else None
-        return _Kernels(dtype, terms, defer, tensor)
+        """The kernel setting of the ring's exponent (OrderContext.kernels),
+        None beyond every lane.  Looked up on first use, so a ring that only
+        evaluates a witness never pays for it."""
+        return self.context.kernels(self.exponent)
 
     @property
     def _np_ok(self) -> bool:
@@ -536,8 +530,11 @@ class ResidueRing:
         # the mask first: _units_array refuses a ring it cannot walk
         mask = self._units_array()
         e = self.exponent
-        dtype, terms, defer_mod, tensor = self._kernels
+        dtype, terms, defer_mod = self._kernels
         args = (terms, e, d, defer_mod)
+        # the narrow tree levels hold only to defer_mod's bound
+        tensor = self.context.tensor(terms, dtype) \
+            if defer_mod and d ** 3 <= NARROW else None
         width = min(SPAN, self.unit_count)
         acc = _take("product", d * width, dtype).reshape(d, width)
         # one buffer for the census squares, the products into acc and the
@@ -633,12 +630,11 @@ class ResidueRing:
         return f"{self.order}/({self.modulus.label()})"
 
 
-def _lane(d: int, e: int, size: int) -> tuple | None:
+def _lane(d: int, e: int) -> tuple | None:
     """(integer type, bound) of the narrowest lane in which the kernels
-    may run for a ring of degree d and exponent e with ``size`` box
-    positions, or None beyond every lane."""
+    may run at degree d and exponent e, or None beyond every lane."""
     for dtype, safe in _LANES:
-        if (2 * d + 4) * e * e < safe and size < safe:
+        if (2 * d + 4) * e * e < safe:
             return dtype, safe
     return None
 
@@ -664,20 +660,24 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 
 
 # ---------------------------------------------------------------------------
-# Kernels.  They run in the integer type of their operands, the ring's lane
-# (_lane): int32 when (2d+4)*e^2 < 2^30, else int64 when (2d+4)*e^2 < 2^62,
-# where e is the exponent of o/a (the least s > 0 with s*Z^d inside the
-# lattice, which every pivot divides) and the box has fewer positions than
-# the same bound, so that a flat box index fits the lane too; a ring beyond
-# both lanes is not enumerated (RingTooLarge).  Preconditions: operand
-# coefficients lie in [0, e); every basis entry lies in [0, pivot) (checked
-# where OrderContext makes the basis); fold terms are symmetric residues
-# mod e, at most e/2 in size.  Then in either lane:
+# Kernels.  They run in the integer type of their operands, the lane of the
+# exponent's setting (OrderContext.kernels, _lane): int32 when
+# (2d+4)*e^2 < 2^30, else int64 when (2d+4)*e^2 < 2^62, where e is the
+# exponent of o/a (the least s > 0 with s*Z^d inside the lattice, which
+# every pivot divides); a ring beyond both lanes is not enumerated
+# (RingTooLarge).  The lane depends on (d, e) alone: no walk takes more
+# than WALK_MAX = 2^28 box positions, under 2^30, so a flat box index fits
+# either lane.  Preconditions: operand coefficients lie in [0, e); every
+# basis entry lies in [0, pivot) (checked where OrderContext makes the
+# basis); fold terms are symmetric residues mod e, at most e/2 in size.
+# Then in either lane:
 #   _np_mul: every convolution sum is below d*e^2.  With defer_mod, chosen
 #     only when d*e^2*s is under the lane's bound (s = 1 + the largest
-#     column sum of the |fold rows|, see red_rows), the folded sums stay
-#     below d*e^2*s; without it they are reduced to [0, e) first and the
-#     fold stays within e + (d-1)*e^2/2.
+#     column sum of the |fold rows|, see OrderContext.kernels), the folded
+#     sums stay below d*e^2*s.  Without it only the d-1 rows the fold
+#     multiplies are reduced to [0, e) first: the low rows stay below
+#     d*e^2, the fold adds at most (s-1)*e <= (d-1)*e^2/2 to each, and
+#     every folded sum stays below (3d-1)*e^2/2.
 #   _np_tensor_mul: each outer product a_i*b_j is below e^2, and row k of
 #     the structure tensor has sizes adding up to at most d*s (at most d
 #     pairs i+j meet theta^k, and at most d each fold row, of entry k), so
@@ -691,11 +691,11 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 #   _np_mod, _np_divmod: a quotient times the modulus is within the value
 #     plus the modulus.
 # So every intermediate is within (2d+4)*e^2, under the lane's bound.  The
-# per-prime tables run the same kernels on o/P, whose exponent p divides e,
-# in the lane of (2d+4)*p^2.  The kernels take elements as (d, count)
-# columns, each coefficient one contiguous row.  Divisions by powers of
-# two, the common case (every lattice above 2 is 2-power-indexed), are
-# done with shifts and masks.
+# per-prime tables run the same kernels on o/P in the setting of its own
+# exponent p, which divides e, over small boxes no larger than the ring's.
+# The kernels take elements as (d, count) columns, each coefficient one
+# contiguous row.  Divisions by powers of two, the common case (every
+# lattice above 2 is 2-power-indexed), are done with shifts and masks.
 # ---------------------------------------------------------------------------
 
 def _np_mod(x: np.ndarray, m: int, out: np.ndarray | None = None,
@@ -844,7 +844,7 @@ def _np_periodic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _fold_terms(rows: Sequence[Sequence[int]]) -> tuple:
     """The nonzero entries of fold rows (x^(d+t) mod f for each t, as in
-    OrderContext.red_rows) as (t, m, coef) triples of Python ints: _np_mul
+    OrderContext.kernels) as (t, m, coef) triples of Python ints: _np_mul
     adds coef times convolution row d+t into coefficient m."""
     return tuple((t, m, int(c)) for t, row in enumerate(rows)
                  for m, c in enumerate(row) if c)
@@ -859,7 +859,7 @@ def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
     ``terms`` are the nonzero (t, m, coef) entries of the fold rows
     (_fold_terms).  With ``defer_mod`` (see the kernel section for when it
     is safe) the coefficient reduction happens once, after folding the
-    high-degree rows; else the convolution is reduced before folding as
+    high-degree rows; else those rows are reduced before folding as
     well.  The arithmetic runs in ``work``, a flat array of the operands'
     type of at least (3d-1)*k entries (fresh when None), laid out as a
     contiguous (3d-1, k) array, which keeps numpy on its fast path for
@@ -883,9 +883,8 @@ def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
         np.multiply(a[d - 1], b[j], out=c[j + d - 1])
     prod = w[2 * d - 1:]  # free once the convolution is done
     if not defer_mod:
-        # in place, d rows at a time, the quotients in prod
-        for s in range(0, 2 * d - 1, d):
-            _np_mod(c[s:s + d], n, out=c[s:s + d], work=prod)
+        # the rows the fold multiplies, in place, the quotients in prod
+        _np_mod(c[d:], n, out=c[d:], work=prod)
     r = c[:d]
     for t, m, coef in terms:
         if coef == 1:

@@ -192,14 +192,14 @@ def witness_element(o: NumberFieldOrder, a: FactoredIdeal,
 
 
 def classify_global(o: NumberFieldOrder, a: FactoredIdeal, *,
-                    cap: int = DEFAULT_CAP, ring: ResidueRing | None = None,
-                    ctx: OrderContext | None = None) -> WilsonProduct:
+                    cap: int = DEFAULT_CAP,
+                    ring: ResidueRing | None = None) -> WilsonProduct:
     """Closed-form product of all units of o/a, with an evaluated witness.
 
     Pure arithmetic on the factor invariants decides the class; the witness
     residue class is evaluated whenever |o/a| fits under ``cap`` (a provided
-    ``ring`` is trusted and used directly; else the ring is built in
-    ``ctx``, or in a fresh context).
+    ``ring`` is trusted and used directly; else the ring is built in a fresh
+    context).
     """
     kind = ProductClass.ONE
     prime = None
@@ -211,7 +211,7 @@ def classify_global(o: NumberFieldOrder, a: FactoredIdeal, *,
     if ring is None:
         if a.absolute_norm > cap:
             return WilsonProduct(kind, prime, None)
-        ring = build_residue_ring(o, a, cap=cap, ctx=ctx)
+        ring = build_residue_ring(o, a, cap=cap)
     witness = witness_element(o, a, kind, prime, ring)
     return WilsonProduct(kind, prime, witness)
 

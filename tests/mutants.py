@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNIT_FILES = ("tests/test_wilson.py", "tests/test_residue.py",
-              "tests/test_order.py", "tests/test_primes.py")
+              "tests/test_order.py", "tests/test_primes.py",
+              "tests/test_modpoly.py")
 # a mutant that makes the tests hang is killed once they run this long
 TIME_LIMIT = 900
 
@@ -69,8 +70,7 @@ MUTANTS = (
     Mutant("residue.py", "            r[m] += c[d + t]\n",
            "            r[m] -= c[d + t]\n",
            "a fold term of coefficient 1 taken with the wrong sign"),
-    Mutant("residue.py", "defer = d * e * e * grow < safe",
-           "defer = d * e * e < safe",
+    Mutant("residue.py", "d * e * e * grow < safe)", "d * e * e < safe)",
            "defer_mod without the factor by which the fold grows sums"),
     Mutant("residue.py", "for pd in pds) > self.size:", "for pd in pds) < 0:",
            "the census sieve taken even when its tables are not small"),
@@ -86,9 +86,26 @@ MUTANTS = (
     Mutant("residue.py", "            fold[m, d + t] = coef\n",
            "            fold[m, d + t] = 0\n",
            "the structure tensor built without its fold columns"),
-    Mutant("residue.py", "if defer and d ** 3 <= NARROW else None",
+    Mutant("residue.py", "if defer_mod and d ** 3 <= NARROW else None",
            "if d ** 3 <= NARROW else None",
            "the narrow tree levels taken when defer_mod is false"),
+    Mutant("residue.py", "        _np_mod(c[d:], n, out=c[d:], work=prod)\n",
+           "        pass\n",
+           "_np_mul without defer_mod folds rows it has not reduced"),
+    # the lattices
+    Mutant("lattice.py", "q = out[k][pc] // row[pc]", "q = 0",
+           "_hnf_pivot_rows leaves the entries above a pivot unreduced"),
+    Mutant("lattice.py", "[[n2 * c for c in r] for r in a_basis]",
+           "[[n1 * c for c in r] for r in a_basis]",
+           "comaximal_product scales L1 by its own index, not by N2"),
+    # polynomials mod p
+    Mutant("modpoly.py", "while degree(g) >= 2 * (k + 1):",
+           "while degree(g) > 2 * (k + 1):",
+           "distinct_degree stops one degree early and keeps a product of "
+           "two factors of degree k+1 as one"),
+    Mutant("modpoly.py", "found[g] = found.get(g, 0) + m",
+           "found[g] = found.get(g, 0) + 1",
+           "factor drops the multiplicity of a repeated factor"),
     # the sweep and the primality test
     Mutant("wilson.py", "for p in range(2, prime_bound + 1):",
            "for p in range(2, prime_bound):",

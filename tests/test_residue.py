@@ -173,17 +173,41 @@ def test_a_ring_that_cannot_defer_takes_no_tensor(monkeypatch):
 
 
 def test_non_deferred_reduction():
-    # the fold rows of this f have large residues mod the exponent of o/a
-    # (565 and 842,837, each |o/a| itself), which leaves too little room in
-    # the ring's lane to defer the coefficient reduction past the fold, so
-    # _np_mul reduces before the fold as well; one ring in each lane
-    o = make_order("x^8+123456789x^3+1")
-    for label, lane, d2 in (("5^1; 113^1", np.int32, 2),
-                            ("41^1@1; 61^1@1; 337^1@2", np.int64, 3)):
+    # the fold rows of the first f have large residues mod the exponent of
+    # o/a (565 and 842,837, each |o/a| itself), which leaves too little
+    # room in the ring's lane to defer the coefficient reduction past the
+    # fold, so _np_mul reduces before the fold as well; one ring in each
+    # lane.  The dense octics, at exponents near 10^6, defer in neither
+    # lane: without that reduction they could not be enumerated at all
+    for poly, label, lane, d2 in (
+            ("x^8+123456789x^3+1", "5^1; 113^1", np.int32, 2),
+            ("x^8+123456789x^3+1", "41^1@1; 61^1@1; 337^1@2", np.int64, 3),
+            ("x^8-9x^7+9x^6+x^4-7x^3-x^2-5x-4", "1000037^1", np.int64, 1),
+            ("x^8-8x^7-4x^6-2x^5+6x^4-8x^3-4x^2-2x-4", "1000003^1",
+             np.int64, 1)):
+        o = make_order(poly)
         res = verify_ideal(o, parse_ideal(o, label))
         assert res.ring._kernels.dtype is lane, label
         assert res.ring._np_ok and not res.ring._defer_mod, label
         assert res.match and res.census.d2 == d2, label
+
+
+def test_one_kernel_setting_per_exponent(monkeypatch):
+    # the rings of one exponent and the tables of each prime run in one
+    # setting, made once per context; a setting beyond every lane is kept
+    # as None, not remade
+    made = []
+    lane = residue._lane
+    monkeypatch.setattr(residue, "_lane",
+                        lambda d, e: made.append(e) or lane(d, e))
+    o = make_order("x^2+1")
+    ctx = OrderContext(o)
+    for label in ("5^1; 13^1", "5^1; 13^1@1", "5^1", "5^1; 13^1"):
+        ring = build_residue_ring(o, parse_ideal(o, label), ctx=ctx)
+        assert verify_ideal(o, ring.modulus, ctx=ctx).match, label
+        assert ring._kernels is ctx.kernels(ring.exponent), label
+    assert ctx.kernels(1 << 40) is None and ctx.kernels(1 << 40) is None
+    assert sorted(made) == [5, 13, 65, 1 << 40]
 
 
 # -- the shared context and the comaximal product ------------------------------
@@ -926,7 +950,7 @@ def test_narrow_level_holds_at_the_lane_bound(d, lane):
     # give what _np_mul gives on Python ints, with no wraparound
     dtype, safe = residue._LANES[lane]
     e = math.isqrt((safe - 1) // (2 * d + 4))
-    assert residue._lane(d, e, e)[0] is dtype
+    assert residue._lane(d, e)[0] is dtype
     rng = np.random.default_rng(d)
     k = 64
     a = rng.integers(0, e, size=(d, k))
@@ -959,8 +983,11 @@ def test_int32_kernels_hold_at_the_lane_bound(d):
     # fold rows symmetric residues give and operands up to e-1: the int32
     # kernels must give what the int64 ones give, with no wraparound
     e = math.isqrt(((1 << 30) - 1) // (2 * d + 4))
-    assert residue._lane(d, e, e)[0] is np.int32
-    assert residue._lane(d, e + 1, e + 1)[0] is np.int64
+    assert residue._lane(d, e)[0] is np.int32
+    assert residue._lane(d, e + 1)[0] is np.int64
+    # _lane reads only d and e: a flat index of any box a walk may take
+    # must fit the int32 lane too
+    assert residue.WALK_MAX < residue._LANES[0][1] == 1 << 30
     rng = np.random.default_rng(d)
     k = 257
     a = rng.integers(0, e, size=(d, k))
