@@ -3,9 +3,10 @@
 A lattice is stored as a list of d rows; the matrix is upper triangular with
 positive diagonal and, in each column, the entries above the pivot reduced
 into [0, pivot).  With that shape the canonical representatives of Z^d
-modulo the lattice are exactly the boxes prod_i [0, H[i][i]), and both
-membership tests and canonical reduction are a single forward-substitution
-pass.  Everything is plain Python integer arithmetic.
+modulo the lattice are exactly the boxes prod_i [0, H[i][i]), canonical
+reduction is a single forward-substitution pass, and a vector is in the
+lattice when it reduces to zero.  rows_hnf is the one routine that brings
+generators to that shape.  Everything is plain Python integer arithmetic.
 """
 
 from __future__ import annotations
@@ -17,21 +18,19 @@ from .errors import InvariantViolation
 from .order import NumberFieldOrder
 
 
-def _hnf_pivot_rows(work: list[list[int]], d: int) -> list[list[int]]:
-    """Row-reduce ``work`` in place to Hermite normal form on its first d
-    columns and return the pivot rows, one per column that has a pivot.
+def rows_hnf(rows: Sequence[Sequence[int]], d: int) -> list[list[int]]:
+    """Hermite normal form of the lattice generated by ``rows``, the one HNF
+    routine of the package.
 
-    Pivots are positive, and every entry above a pivot is reduced into
-    [0, pivot), in ascending pivot order, since reducing column i only
-    touches columns >= i of the rows above it.  The rows not returned end
-    up zero on the first d columns.  Row operations span the full row
-    width, so columns past d carry a transform along.  Rows that become
-    zero are dropped from the search (a row carrying a transform never is).
+    Row-reduces a copy of the rows column by column to one pivot row per
+    column.  Pivots are positive, and every entry above a pivot is reduced
+    into [0, pivot), in ascending pivot order, since reducing column i only
+    touches columns >= i of the rows above it.  Rows that become zero are
+    dropped from the search.  Requires full rank d (always true for the
+    ideal lattices this package builds); raises ValueError otherwise.
     """
-    width = len(work[0]) if work else d
-    live = [r for r in work if any(r)]
+    live = [list(r) for r in rows if any(r)]
     out: list[list[int]] = []
-    cols: list[int] = []
     for col in range(d):
         while True:
             nz = [r for r in live if r[col]]
@@ -40,61 +39,29 @@ def _hnf_pivot_rows(work: list[list[int]], d: int) -> list[list[int]]:
             nz.sort(key=lambda r: abs(r[col]))
             piv = nz[0]
             if piv[col] < 0:
-                for j in range(col, width):
+                for j in range(col, d):
                     piv[j] = -piv[j]
             for r in nz[1:]:
                 q = r[col] // piv[col]
                 if q:
-                    for j in range(col, width):
+                    for j in range(col, d):
                         r[j] -= q * piv[j]
         piv = next((r for r in live if r[col]), None)
         if piv is None:
-            continue
+            raise ValueError("generators do not span a full-rank lattice")
         if piv[col] < 0:
-            for j in range(col, width):
+            for j in range(col, d):
                 piv[j] = -piv[j]
         out.append(piv)
-        cols.append(col)
         live = [r for r in live if r is not piv and any(r)]
-    for i in range(1, len(out)):
-        row, pc = out[i], cols[i]
-        for k in range(i):
+    for pc in range(1, d):
+        row = out[pc]
+        for k in range(pc):
             q = out[k][pc] // row[pc]
             if q:
-                for j in range(pc, width):
+                for j in range(pc, d):
                     out[k][j] -= q * row[j]
     return out
-
-
-def rows_hnf(rows: Sequence[Sequence[int]], d: int) -> list[list[int]]:
-    """Hermite normal form of the lattice generated by ``rows``.
-
-    Requires full rank d (always true for the ideal lattices this package
-    builds); raises ValueError otherwise.
-    """
-    basis = _hnf_pivot_rows([list(r) for r in rows], d)
-    if len(basis) < d:
-        raise ValueError("generators do not span a full-rank lattice")
-    return basis
-
-
-def hnf_with_transform(
-    rows: Sequence[Sequence[int]], d: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """HNF together with a unimodular U such that U * rows = stack.
-
-    The returned ``stack`` has the HNF basis in its first rows (one per
-    pivot) followed by zero rows; U is square of size len(rows).
-    """
-    n = len(rows)
-    work = [list(r) + [1 if i == j else 0 for j in range(n)]
-            for i, r in enumerate(rows)]
-    out = _hnf_pivot_rows(work, d)
-    pivots = {id(r) for r in out}
-    out += [r for r in work if id(r) not in pivots]
-    stack = [r[:d] for r in out]
-    transform = [r[d:] for r in out]
-    return stack, transform
 
 
 def is_reduced(basis: Sequence[Sequence[int]]) -> bool:
@@ -117,20 +84,6 @@ def lattice_det(basis: Sequence[Sequence[int]]) -> int:
     return out
 
 
-def contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """Is ``vec`` in the lattice?  Forward substitution along the pivots."""
-    v = list(vec)
-    d = len(v)
-    for i in range(d):
-        q, r = divmod(v[i], basis[i][i])
-        if r:
-            return False
-        if q:
-            for j in range(i + 1, d):
-                v[j] -= q * basis[i][j]
-    return True
-
-
 def reduce_mod(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple:
     """Canonical representative of ``vec`` in the box prod [0, H[i][i])."""
     v = list(vec)
@@ -142,6 +95,11 @@ def reduce_mod(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple:
             for j in range(i + 1, d):
                 v[j] -= q * basis[i][j]
     return tuple(v)
+
+
+def contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+    """Is ``vec`` in the lattice?  Its canonical representative is zero."""
+    return not any(reduce_mod(basis, vec))
 
 
 def lattice_product(
@@ -216,36 +174,3 @@ def ideal_power_lattice(
             f"index {lattice_det(basis)} of P^{n} differs from p^(nf) = "
             f"{p ** (n * f)}")
     return basis
-
-
-def solve_comaximal(
-    l1: Sequence[Sequence[int]],
-    l2: Sequence[Sequence[int]],
-    target: Sequence[int],
-) -> list[int]:
-    """Find t in L1 with t = target (mod L2), given L1 + L2 = Z^d.
-
-    Stacks the two bases, tracks the unimodular transform of the HNF, and
-    reads the combination of L1 rows out of it.
-    """
-    d = len(target)
-    rows = [list(r) for r in l1] + [list(r) for r in l2]
-    stack, transform = hnf_with_transform(rows, d)
-    for i in range(d):
-        if stack[i][i] != 1 or any(stack[i][j] != 0 for j in range(d) if j != i):
-            raise ValueError("lattices are not comaximal")
-    # target = sum target[i] * stack_i, so its row-combination coefficients
-    # on the original rows are sum target[i] * transform[i]
-    combo = [0] * len(rows)
-    for i in range(d):
-        ti = target[i]
-        if ti:
-            for j in range(len(rows)):
-                combo[j] += ti * transform[i][j]
-    out = [0] * d
-    for j in range(len(l1)):
-        cj = combo[j]
-        if cj:
-            for k in range(d):
-                out[k] += cj * l1[j][k]
-    return out

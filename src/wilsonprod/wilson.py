@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
-from . import lattice
 from .errors import InvariantViolation, NotUniqueTorsion
 from .order import NumberFieldOrder, OrderElement
 # uniformizer lives in primes, next to valuation, and is part of this
@@ -158,6 +157,17 @@ def _contributing_factor(a: FactoredIdeal):
                 if d2_local(pd.p, pd.e, pd.f, m) == 1)
 
 
+def _power(x: ResidueElement, k: int) -> ResidueElement:
+    """x^k in x's ring by square-and-multiply, for k >= 0."""
+    out = x.ring.one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
 def witness_element(o: NumberFieldOrder, a: FactoredIdeal,
                     kind: ProductClass, prime: PrimeIdealData | None,
                     ring: ResidueRing, *,
@@ -165,11 +175,15 @@ def witness_element(o: NumberFieldOrder, a: FactoredIdeal,
     """Evaluate the symbolic answer to a residue class of o/a.
 
     For the 1+pi forms over a composite modulus, the symbol is local to one
-    prime power, so the global representative must be congruent to 1+pi^j
-    there and to 1 at every other factor; a lattice congruence solve
-    produces that representative.  (Taking 1+pi globally is wrong whenever
-    pi is a unit at one of the other factors.)  Bases and the default
-    uniformizer come from the ring's context.
+    prime power P^m, so the global representative must be congruent to
+    1+pi^j there and to 1 at every other factor.  (Taking 1+pi globally is
+    wrong whenever pi is a unit at one of the other factors.)  The
+    representative is 1 + pi^j * u^k: u is the product over the other
+    factors Q^n of x_Q^n, with x_Q in Q and not in P (the rational prime
+    below Q, or g_Q(theta) when Q lies above p, since g_Q is prime to g_P
+    mod p), so u lies in every Q^n and is a unit mod P^m, and
+    k = q^(m-1)(q-1), the number of units of o/P^m for q = |o/P|, makes
+    u^k = 1 mod P^m.  The uniformizer defaults to the ring context's.
     """
     if kind is ProductClass.ONE:
         return ring.one
@@ -179,16 +193,20 @@ def witness_element(o: NumberFieldOrder, a: FactoredIdeal,
         return ring.reduce([-1] + [0] * (o.degree - 1))
     pd = prime
     m = next(m for q, m in a.factors if q == pd)
-    ctx = ring.context
     if pi is None:
-        pi = ctx.uniformizer(pd)
+        pi = ring.context.uniformizer(pd)
     loc = pi if kind is ProductClass.ONE_PLUS_PI else o.mul(pi, pi)
     if len(a.factors) == 1:
         return ring.reduce(o.add(o.one, loc))
-    rest = ctx.basis(tuple((q, mq) for q, mq in a.factors if q != pd))
-    pm = ctx.basis(((pd, m),))
-    t = lattice.solve_comaximal(rest, pm, loc.coeffs)
-    return ring.reduce(o.add(o.one, o.element(t)))
+    u = ring.one
+    for q, n in a.factors:
+        if q != pd:
+            x_q = o.element_from_poly(q.gen_poly) if q.p == pd.p \
+                else o.from_int(q.p)
+            u = u * _power(ring.reduce(x_q), n)
+    k = pd.residue_size ** (m - 1) * (pd.residue_size - 1)
+    t = ring.reduce(loc) * _power(u, k)
+    return ring.reduce(o.add(o.one, o.element(t.coeffs)))
 
 
 def classify_global(o: NumberFieldOrder, a: FactoredIdeal, *,

@@ -94,7 +94,7 @@ MUTANTS = (
            "_np_mul without defer_mod folds rows it has not reduced"),
     # the lattices
     Mutant("lattice.py", "q = out[k][pc] // row[pc]", "q = 0",
-           "_hnf_pivot_rows leaves the entries above a pivot unreduced"),
+           "rows_hnf leaves the entries above a pivot unreduced"),
     Mutant("lattice.py", "[[n2 * c for c in r] for r in a_basis]",
            "[[n1 * c for c in r] for r in a_basis]",
            "comaximal_product scales L1 by its own index, not by N2"),
@@ -114,6 +114,19 @@ MUTANTS = (
            "sweep_ideals drops the ideals of norm exactly max_norm"),
     Mutant("primes.py", "29, 31, 37, 41)", "29, 31, 37)",
            "Miller-Rabin without the base 41, which PRIME_MAX assumes"),
+    # the witness at a composite modulus
+    Mutant("wilson.py", "o.element_from_poly(q.gen_poly)",
+           "o.element_from_poly(pd.gen_poly)",
+           "witness_element: x_Q = g_P(theta), which lies in P"),
+    Mutant("wilson.py", "_power(ring.reduce(x_q), n)", "ring.reduce(x_q)",
+           "witness_element: u takes x_Q, not x_Q^n, so u^k may miss Q^n"),
+    Mutant("wilson.py", "(pd.residue_size - 1)\n",
+           "(pd.residue_size - 1) - 1\n",
+           "witness_element: u^(k-1), which is not 1 mod P^m"),
+    Mutant("wilson.py", " * (pd.residue_size - 1)\n", "\n",
+           "witness_element: k without the factor q-1 of the unit count"),
+    Mutant("wilson.py", "        if q != pd:\n", "        if True:\n",
+           "witness_element: u taken over P too, so t lies in P"),
 )
 
 

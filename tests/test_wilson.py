@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from wilsonprod import make_order
+from wilsonprod import lattice, make_order
 from wilsonprod.errors import NotUniqueTorsion
 from wilsonprod.order import OrderElement
 from wilsonprod.primes import (
@@ -291,6 +291,61 @@ def test_witness_independent_of_uniformizer(catalog):
             w = witness_element(o, a, res.kind, res.prime, ring, pi=alt)
             assert w.coeffs == res.witness.coeffs, \
                 f"witness changed with uniformizer {alt.coeffs} at {res.prime}"
+
+
+# -- the witness at a composite modulus -----------------------------------------
+
+# orders with more than one prime above 2: the local shapes (e, f) at 2 are
+# (1,1)+(2,1) for x^3-x-2, (2,1)+(2,1) for x^4+2x^3+x^2-4x-2,
+# (2,1)+(1,1)+(1,2) for x^5-4x^4+2x^3-3x^2-4x-2 and (1,1)+(1,1) for x^2+x+2
+SPLIT_ORDERS = ("x^3-x-2", "x^4+2x^3+x^2-4x-2", "x^5-4x^4+2x^3-3x^2-4x-2",
+                "x^2+x+2")
+# (1,1)+(3,1), (1,2)+(2,1) and (3,1)+(3,1) at 2
+MORE_SPLIT_ORDERS = ("x^4+3x^3-4x^2+2x+2", "x^4+3x^3-3x^2-2x+2",
+                     "x^6+3x^5+x^4-3x^3+4x^2+2x-2")
+
+
+@pytest.mark.parametrize("poly", SPLIT_ORDERS)
+def test_composite_witness_is_one_plus_pi_at_its_factor_and_one_elsewhere(
+        poly):
+    # every factor and both 1+pi forms, whatever the ideal's own class
+    o = make_order(poly)
+    ctx = OrderContext(o)
+    seen = 0
+    for a in sweep_ideals(o, 2 ** 10, prime_bound=3, exp_cap=4):
+        if len(a.factors) < 2:
+            continue
+        ring = build_residue_ring(o, a, ctx=ctx)
+        for pd, m in a.factors:
+            pi = ctx.uniformizer(pd)
+            for kind, loc in ((ProductClass.ONE_PLUS_PI, pi),
+                              (ProductClass.ONE_PLUS_PI_SQ, o.mul(pi, pi))):
+                w = witness_element(o, a, kind, pd, ring).coeffs
+                want = o.add(o.one, loc).coeffs
+                assert lattice.contains(
+                    ctx.basis(((pd, m),)),
+                    [x - y for x, y in zip(w, want)]), (a.label(), pd, kind)
+                for q, n in a.factors:
+                    if q != pd:
+                        assert lattice.contains(
+                            ctx.basis(((q, n),)),
+                            [x - y for x, y in zip(w, o.one.coeffs)]), \
+                            (a.label(), pd, kind, q)
+                seen += 1
+    assert seen > 0
+
+
+def test_composite_one_plus_pi_matches_enumeration():
+    composite = set()
+    for poly in SPLIT_ORDERS + MORE_SPLIT_ORDERS:
+        o = make_order(poly)
+        ctx = OrderContext(o)
+        for a in sweep_ideals(o, 2 ** 12, prime_bound=2):
+            res = verify_ideal(o, a, ctx=ctx, with_census=False)
+            assert res.match, (poly, a.label())
+            if len(a.factors) > 1:
+                composite.add(res.predicted.kind)
+    assert {ProductClass.ONE_PLUS_PI, ProductClass.ONE_PLUS_PI_SQ} <= composite
 
 
 # -- classifier vs. census on a small sample ------------------------------------
