@@ -126,8 +126,3 @@ class NotUniqueTorsion(WilsonError):
 
     code = "not_unique_torsion"
 
-
-class UniformizerNotFound(WilsonError):
-    """Defensive: no valuation-1 element found (cannot happen for maximal orders)."""
-
-    code = "uniformizer_not_found"

@@ -6,7 +6,10 @@ into [0, pivot).  With that shape the canonical representatives of Z^d
 modulo the lattice are exactly the boxes prod_i [0, H[i][i]), canonical
 reduction is a single forward-substitution pass, and a vector is in the
 lattice when it reduces to zero.  rows_hnf is the one routine that brings
-generators to that shape.  Everything is plain Python integer arithmetic.
+generators to that shape.  An ideal above one rational prime is the
+lattice of two generators (ideal_power_lattice), and ideals above distinct
+primes join by comaximal_product.  Everything is plain Python integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .order import NumberFieldOrder
+from .order import NumberFieldOrder, OrderElement
 
 
 def rows_hnf(rows: Sequence[Sequence[int]], d: int) -> list[list[int]]:
@@ -102,75 +105,44 @@ def contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     return not any(reduce_mod(basis, vec))
 
 
-def lattice_product(
-    o: NumberFieldOrder,
-    a_basis: Sequence[Sequence[int]],
-    b_basis: Sequence[Sequence[int]],
-) -> list[list[int]]:
-    """Basis of the product ideal, from pairwise products of basis elements."""
-    d = o.degree
-    rows = []
-    elems_b = [o.element(r) for r in b_basis]
-    for ra in a_basis:
-        ea = o.element(ra)
-        for eb in elems_b:
-            rows.append(list(o.mul(ea, eb).coeffs))
-    return rows_hnf(rows, d)
-
-
 def comaximal_product(
     o: NumberFieldOrder,
     a_basis: Sequence[Sequence[int]],
     b_basis: Sequence[Sequence[int]],
 ) -> list[list[int]]:
-    """Basis of the product of two comaximal ideals, which is their
+    """Basis of the product of two ideals of coprime indices, which is their
     intersection.
 
-    When the indices N1 and N2 are coprime, L1 ∩ L2 = N2·L1 + N1·L2 (write
+    With indices N1 and N2 coprime, L1 ∩ L2 = N2·L1 + N1·L2 (write
     x = u·N1·x + v·N2·x with u·N1 + v·N2 = 1), so the HNF of the 2d stacked
     rows gives the basis with no order multiplication (Cohen, A Course in
-    Computational Algebraic Number Theory, §2.4).  The HNF is canonical, so
-    this is the basis lattice_product gives.  Ideals over the same rational
-    prime go through lattice_product.
+    Computational Algebraic Number Theory, §2.4).  Indices that share a
+    factor raise InvariantViolation: ideals above one rational prime are
+    one ideal_power_lattice.
     """
     n1, n2 = lattice_det(a_basis), lattice_det(b_basis)
     if math.gcd(n1, n2) != 1:
-        return lattice_product(o, a_basis, b_basis)
+        raise InvariantViolation(
+            f"indices {n1} and {n2} of a comaximal product are not coprime")
     rows = [[n2 * c for c in r] for r in a_basis] + \
         [[n1 * c for c in r] for r in b_basis]
     return rows_hnf(rows, o.degree)
 
 
-def ideal_power_lattice(
-    o: NumberFieldOrder, p: int, gen_poly: Sequence[int], n: int
-) -> list[list[int]]:
-    """Lattice of P^n for the prime ideal P = (p, g(theta)).
+def ideal_power_lattice(o: NumberFieldOrder, q: int,
+                        x: OrderElement) -> list[list[int]]:
+    """Lattice of the ideal q·o + x·o: the HNF of the 2d rows q·e_j and
+    x·θ^j (j < d), the latter reduced mod q.  Callers check the index.
 
-    Generated as a Z-module by p^i * g(theta)^(n-i) * theta^j over
-    0 <= i <= n, 0 <= j < d.  The determinant must come out as p^(n*f) with
-    f = deg g; that is checked, since it is a theorem whenever Z[theta] is
-    maximal at p (which callers have already checked).
+    Every ideal above a prime p at which Z[θ] is maximal is one:
+    ∏ P^m = p^s·o + x·o for s = max ⌈m/e_P⌉ and x = ∏ π_P^m, where π_P is a
+    uniformizer at P and a unit at the other primes above p.  At each P | p,
+    v_P(p^s) = s·e_P ≥ m and v_P(x) = m, and p^s is a unit at every other
+    prime (Cohen, A Course in Computational Algebraic Number Theory, §4.8).
     """
-    if n < 1:
-        raise InvariantViolation(f"ideal power exponent must be >= 1, got {n}")
     d = o.degree
-    g = o.element_from_poly(gen_poly)
-    rows = []
-    g_pow = o.one
-    powers = [g_pow]
-    for _ in range(n):
-        g_pow = o.mul(g_pow, g)
-        powers.append(g_pow)
-    for i in range(n + 1):
-        elt = o.mul_int(powers[n - i], p ** i)
-        cur = elt
-        for _ in range(d):
-            rows.append(list(cur.coeffs))
-            cur = o.mul(cur, o.theta)
-    basis = rows_hnf(rows, d)
-    f = len(tuple(gen_poly)) - 1
-    if lattice_det(basis) != p ** (n * f):
-        raise InvariantViolation(
-            f"index {lattice_det(basis)} of P^{n} differs from p^(nf) = "
-            f"{p ** (n * f)}")
-    return basis
+    rows = [[q * (i == j) for j in range(d)] for i in range(d)]
+    for _ in range(d):
+        rows.append([c % q for c in x.coeffs])
+        x = o.mul(x, o.theta)
+    return rows_hnf(rows, d)

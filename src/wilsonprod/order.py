@@ -435,9 +435,6 @@ class NumberFieldOrder:
         prod = poly_mul_z(self._coerce(a), self._coerce(b))
         return self.element_from_poly(prod)
 
-    def mul_int(self, a: OrderElement, n: int) -> OrderElement:
-        return OrderElement(tuple(n * x for x in self._coerce(a)))
-
     def norm(self, a: OrderElement) -> int:
         """Absolute norm |N(a)| = |Res(f, a(x))|, via the multiplication matrix.
 

@@ -23,7 +23,6 @@ from .errors import (
     NotPrime,
     ParseError,
     PrimeTooLarge,
-    UniformizerNotFound,
     ZeroElement,
     magnitude,
 )
@@ -186,44 +185,53 @@ def factor_prime(o: NumberFieldOrder, p: int) -> tuple[PrimeIdealData, ...]:
     return tuple(out)
 
 
+def _power_lattice(o: NumberFieldOrder, pd: PrimeIdealData, k: int,
+                   x: OrderElement) -> list[list[int]]:
+    """Basis of P^k = p^ceil(k/e)*o + x*o, its index p^(f*k) checked: x
+    lies in P^k and is a unit at the other primes above p, and x or
+    p^ceil(k/e) has valuation exactly k."""
+    basis = lattice.ideal_power_lattice(o, pd.p ** -(-k // pd.e), x)
+    if lattice.lattice_det(basis) != pd.p ** (pd.f * k):
+        raise InvariantViolation(f"the index of {pd}^{k} is not p^(fk)")
+    return basis
+
+
 def valuation(o: NumberFieldOrder, pd: PrimeIdealData,
               a: OrderElement) -> int | float:
     """v_P(a): the largest k with a in P^k; +infinity for a = 0.
 
-    Decided by lattice membership in successive powers of P.  The norm gives
-    an a-priori ceiling v_P(a) <= v_p(N(a)) / f, so the loop terminates.
+    Decided by lattice membership in P^k = p^ceil(k/e)*o + pi^k*o for the
+    uniformizer pi, with pi^k built up step by step; for a != 0 the loop
+    ends, as v_P(a) is finite.
     """
-    if all(c == 0 for c in a.coeffs):
+    if not any(a.coeffs):
         return math.inf
-    n = o.norm(a)
-    vp = 0
-    while n % pd.p == 0:
-        n //= pd.p
-        vp += 1
-    bound = vp // pd.f
+    pi = pi_k = uniformizer(o, pd)
     v = 0
-    while v < bound:
-        basis = lattice.ideal_power_lattice(o, pd.p, pd.gen_poly, v + 1)
-        if not lattice.contains(basis, a.coeffs):
-            break
+    while lattice.contains(_power_lattice(o, pd, v + 1, pi_k), a.coeffs):
         v += 1
+        pi_k = o.mul(pi_k, pi)
     return v
 
 
 def uniformizer(o: NumberFieldOrder, pd: PrimeIdealData) -> OrderElement:
-    """An element of P of valuation exactly 1.
+    """An element of P of valuation exactly 1, a unit at the other primes
+    above p: g(theta) or g(theta)+p, as g is prime to their generators mod p.
 
-    g(theta) and g(theta)+p lie in P, so either has valuation 1 when it is
-    outside P^2.  g(theta) can only fall into P^2 in the unramified case,
-    where adding p (valuation e = 1) repairs it.
+    When e >= 2 it is g(theta), with no lattice.  Write f = prod g_i^e_i -
+    p*T with lifts g_i (dedekind_maximal); at theta the other g_i are units
+    at P, so e*v_P(g(theta)) = e + v_P(T(theta)), and v_P(g(theta)) >= 2
+    forces T(theta) in P, that is gbar | Tbar, which p-maximality
+    (Dedekind's criterion) forbids when e >= 2.  When
+    e = 1, P^2 = p^2*o + g(theta)^2*o whatever v_P(g(theta)) >= 1 is, and
+    one membership test there decides: g(theta) outside it, else
+    g(theta)+p, of valuation v_P(p) = 1.
     """
-    square = lattice.ideal_power_lattice(o, pd.p, pd.gen_poly, 2)
     g = o.element_from_poly(pd.gen_poly)
-    for pi in (g, o.add(g, o.from_int(pd.p))):
-        if not lattice.contains(square, pi.coeffs):
-            return pi
-    raise UniformizerNotFound(
-        f"no valuation-1 element among g(theta), g(theta)+p at {pd}")
+    if pd.e == 1 and lattice.contains(
+            _power_lattice(o, pd, 2, o.mul(g, g)), g.coeffs):
+        return o.add(g, o.from_int(pd.p))
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -165,54 +165,56 @@ class OrderContext:
     def basis(self, factors: tuple) -> list[list[int]]:
         """HNF basis of prod P^m over ``factors``, (PrimeIdealData, m) pairs.
 
-        A composite basis is the comaximal product of the cached bases of
-        its prefix and of its last factor: sweep_ideals yields every prefix
-        before its extensions.  Each basis is checked once, when it is
-        made, for what the box representatives and the bounds of the
-        rings rely on: every entry in [0, pivot), and the norm as index.
+        The factors above one prime p make the lattice q*o + x*o
+        (lattice.ideal_power_lattice), q = p^s their exponent and x the
+        product of the context's uniformizers pi_P^m, reduced mod q; where
+        v_P(q) = m, g_P(theta) serves for pi_P and needs no lattice.  The
+        factors above the last factor's prime join the cached basis of the
+        rest by comaximal_product; for a sweep the rest is a prefix, which
+        sweep_ideals yields before its extensions.  Each basis is checked
+        once, when it is made, for what the box representatives and the
+        bounds of the rings rely on: every entry in [0, pivot), the norm as
+        index, and, above one prime, q as the exponent of the quotient: q
+        times each e_i lies in the lattice, and q/p times some e_i does not.
         """
-        if len(factors) > 1:
-            out = lattice.comaximal_product(self.order,
-                                            self.basis(factors[:-1]),
-                                            self.basis(factors[-1:]))
-        elif factors:
-            (pd, m), = factors
-            out = lattice.ideal_power_lattice(self.order, pd.p, pd.gen_poly,
-                                              m)
+        o = self.order
+        p = factors[-1][0].p if factors else 1
+        rest = tuple(f for f in factors if f[0].p != p)
+        if rest:
+            out = lattice.comaximal_product(
+                o, self.basis(rest),
+                self.basis(tuple(f for f in factors if f[0].p == p)))
         else:
-            d = self.order.degree
-            out = [[int(i == j) for j in range(d)] for i in range(d)]
+            q, x = self.exponent(factors), o.one
+            for pd, m in factors:
+                # v_P(g(theta)) >= 1, enough where v_P(q) = m; where
+                # v_P(q) > m, x needs valuation m, from the uniformizer
+                pi = self.uniformizer(pd) if pd.p ** m < q ** pd.e else \
+                    o.element_from_poly(pd.gen_poly)
+                for _ in range(m):
+                    x = o.element([c % q for c in o.mul(x, pi).coeffs])
+            out = lattice.ideal_power_lattice(o, q, x)
         ideal = FactoredIdeal(factors)
         if not lattice.is_reduced(out) or \
                 lattice.lattice_det(out) != ideal.absolute_norm:
             raise InvariantViolation(
-                f"lattice basis {out} of {self.order}/({ideal.label()}) is "
+                f"lattice basis {out} of {o}/({ideal.label()}) is "
                 f"not in reduced Hermite normal form of index "
                 f"{ideal.absolute_norm}")
+        if not rest and not _is_exponent(out, q, p):
+            raise InvariantViolation(
+                f"{q} is not the exponent of {o}/({ideal.label()}), "
+                f"basis {out}")
         return out
 
     def exponent(self, factors: tuple) -> int:
-        """The exponent e of o/prod P^m: the least s > 0 with s*Z^d inside
-        the lattice of basis(factors), which every pivot divides.
-
-        For P^m it is p^ceil(m/e_P), the least power of p in P^m, and it
-        is checked against the basis, once per (P, m): e*e_i lies in the
-        lattice for every i, and (e/p)*e_i does not for some i.  The
-        exponent of a product of comaximal factors is the lcm of theirs,
-        as the product is their intersection.  Made when a ring first
-        needs it, so a ring that is never walked costs no check.
+        """The exponent of o/prod P^m, the least s > 0 with s*Z^d inside
+        the lattice of basis(factors), which every pivot divides: the lcm
+        of p^ceil(m/e_P), the least power of p in P^m, as the product of
+        comaximal ideals is their intersection.  basis checks it when it
+        makes the basis of the factors above one prime.
         """
-        return math.lcm(*(self._exponent(pd, m) for pd, m in factors))
-
-    @_memo
-    def _exponent(self, pd: PrimeIdealData, m: int) -> int:
-        e = pd.p ** -(-m // pd.e)
-        basis = self.basis(((pd, m),))
-        if not _is_exponent(basis, e, pd.p):
-            raise InvariantViolation(
-                f"{e} is not the exponent of {self.order}/"
-                f"({FactoredIdeal(((pd, m),)).label()}), basis {basis}")
-        return e
+        return math.lcm(*(pd.p ** -(-m // pd.e) for pd, m in factors))
 
     @_memo
     def uniformizer(self, pd: PrimeIdealData) -> OrderElement:

@@ -1,5 +1,6 @@
 """Shared fixtures: the catalog of orders exercised throughout the suite,
-the brute-force oracle of wilson.group_sum, and a bounded CLI runner."""
+the brute-force oracles of wilson.group_sum, the unit masks and the ideal
+lattices, and a bounded CLI runner."""
 
 import itertools
 import json
@@ -64,6 +65,41 @@ def principal_lattice(o, a):
         rows.append(list(cur.coeffs))
         cur = o.mul(cur, o.theta)
     return lattice.rows_hnf(rows, o.degree)
+
+
+def lattice_product(o, a_basis, b_basis):
+    """Basis of the product ideal, from pairwise products of basis elements:
+    d^2 order multiplications, the oracle for the bases of OrderContext."""
+    d = o.degree
+    rows = []
+    elems_b = [o.element(r) for r in b_basis]
+    for ra in a_basis:
+        ea = o.element(ra)
+        for eb in elems_b:
+            rows.append(list(o.mul(ea, eb).coeffs))
+    return lattice.rows_hnf(rows, d)
+
+
+def power_lattice(o, pd, n):
+    """Lattice of P^n for the prime ideal P = (p, g(theta)), n >= 1.
+
+    Generated as a Z-module by p^i * g(theta)^(n-i) * theta^j over
+    0 <= i <= n, 0 <= j < d: the oracle for the two-generator lattices.
+    """
+    d = o.degree
+    g = o.element_from_poly(pd.gen_poly)
+    rows = []
+    g_pow = o.one
+    powers = [g_pow]
+    for _ in range(n):
+        g_pow = o.mul(g_pow, g)
+        powers.append(g_pow)
+    for i in range(n + 1):
+        cur = o.mul(powers[n - i], o.from_int(pd.p ** i))
+        for _ in range(d):
+            rows.append(list(cur.coeffs))
+            cur = o.mul(cur, o.theta)
+    return lattice.rows_hnf(rows, d)
 
 
 _BOUNDED_MAIN = """\

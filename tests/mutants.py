@@ -62,8 +62,12 @@ MUTANTS = (
            "the tree drops the columns past the first half"),
     Mutant("residue.py", "live = max(live, w)", "live = w",
            "the walk forgets live columns after a short part"),
-    Mutant("residue.py", "e = pd.p ** -(-m // pd.e)", "e = pd.p ** (m // pd.e)",
-           "the exponent p^floor(m/e) in place of p^ceil(m/e)"),
+    Mutant("residue.py", "pd.p ** -(-m // pd.e) for",
+           "pd.p ** (m // pd.e) for",
+           "the exponent, and the basis's p^s, with s = max floor(m/e)"),
+    Mutant("residue.py", "return math.lcm(*(pd.p", "return math.gcd(*(pd.p",
+           "s = min ceil(m/e) over the factors above p, not max (gcd for "
+           "lcm), and an exponent of 1 for a product of distinct primes"),
     Mutant("residue.py", "_LANES = ((np.int32, 1 << 30)",
            "_LANES = ((np.int32, 1 << 36)",
            "an int32 lane bound that lets sums wrap around"),
@@ -98,6 +102,17 @@ MUTANTS = (
     Mutant("lattice.py", "[[n2 * c for c in r] for r in a_basis]",
            "[[n1 * c for c in r] for r in a_basis]",
            "comaximal_product scales L1 by its own index, not by N2"),
+    Mutant("lattice.py", "if math.gcd(n1, n2) != 1:", "if False:",
+           "comaximal_product joins ideals of indices not coprime"),
+    # the two-generator lattices above one prime
+    Mutant("primes.py", "    if pd.e == 1 and lattice.contains(",
+           "    if False and lattice.contains(",
+           "uniformizer takes g(theta) at e = 1 without the P^2 test"),
+    Mutant("residue.py", "pi = self.uniformizer(pd) if pd.p ** m < q ** pd.e",
+           "pi = self.uniformizer(pd) if False",
+           "basis takes g(theta) at every factor, where v_P(q) > m too"),
+    Mutant("primes.py", "pd.p ** -(-k // pd.e), x)", "pd.p ** (k // pd.e), x)",
+           "valuation's P^k from p^floor(k/e), not p^ceil(k/e)"),
     # polynomials mod p
     Mutant("modpoly.py", "while degree(g) >= 2 * (k + 1):",
            "while degree(g) > 2 * (k + 1):",

@@ -149,8 +149,8 @@ class TestArithmetic:
     def test_add_sub(self, zi):
         a, b = zi.element((1, 2)), zi.element((3, -1))
         assert zi.add(a, b) == zi.element((4, 1))
-        assert zi.add(a, zi.mul_int(b, -1)) == zi.element((-2, 3))
-        assert zi.add(a, zi.mul_int(a, -1)) == zi.from_int(0)
+        assert zi.add(a, zi.mul(b, zi.from_int(-1))) == zi.element((-2, 3))
+        assert zi.add(a, zi.mul(a, zi.from_int(-1))) == zi.from_int(0)
 
     def test_degree_mismatch(self, zi, catalog):
         z8 = catalog["zeta8"]

@@ -36,7 +36,7 @@ from wilsonprod.wilson import (
     verify_ideal,
 )
 
-from conftest import CATALOG_POLYS, is_unit
+from conftest import CATALOG_POLYS, is_unit, lattice_product, power_lattice
 
 
 def ring_mod_int(o, a_int, cap=1 << 20):
@@ -227,31 +227,69 @@ def test_comaximal_product_matches_lattice_product(poly, primes, i, j, m, n):
     (p, q) = primes
     pds, qds = factor_prime(o, p), factor_prime(o, q)
     pd, qd = pds[i % len(pds)], qds[j % len(qds)]
-    l1 = lattice.ideal_power_lattice(o, pd.p, pd.gen_poly, m)
-    l2 = lattice.ideal_power_lattice(o, qd.p, qd.gen_poly, n)
-    assert lattice.comaximal_product(o, l1, l2) == \
-        lattice.lattice_product(o, l1, l2)
+    l1, l2 = power_lattice(o, pd, m), power_lattice(o, qd, n)
+    assert lattice.comaximal_product(o, l1, l2) == lattice_product(o, l1, l2)
 
 
-@pytest.mark.parametrize("poly", ["x^4+1", "x^3-2"])
+def test_comaximal_product_refuses_shared_indices():
+    # ideals above one prime are one two-generator lattice, never a join
+    o = JOIN_ORDERS["x^2+1"]
+    p5, q5 = factor_prime(o, 5)
+    with pytest.raises(InvariantViolation, match="not coprime"):
+        lattice.comaximal_product(o, power_lattice(o, p5, 1),
+                                  power_lattice(o, q5, 2))
+    with pytest.raises(InvariantViolation, match="not coprime"):
+        lattice.comaximal_product(o, power_lattice(o, p5, 1),
+                                  [[10, 0], [0, 1]])
+
+
+def test_same_prime_factors_need_not_be_adjacent():
+    # the context groups the factors by rational prime, not by position
+    o = JOIN_ORDERS["x^2+1"]
+    (p2,), (p5, q5), (p13, q13) = (factor_prime(o, p) for p in (2, 5, 13))
+    for factors, exponent in ((((p5, 1), (p13, 1), (q5, 2)), 5 ** 2 * 13),
+                              (((p13, 2), (p2, 3), (p5, 1), (q13, 1)),
+                               2 ** 2 * 5 * 13 ** 2),
+                              (((q5, 1), (p2, 1), (p5, 2)), 2 * 5 ** 2)):
+        want = functools.reduce(
+            lambda x, y: lattice_product(o, x, y),
+            [power_lattice(o, pd, m) for pd, m in factors])
+        ctx = OrderContext(o)
+        assert ctx.basis(factors) == want, factors
+        assert ctx.basis(tuple(sorted(
+            factors, key=lambda f: (f[0].p, f[0].index)))) == want, factors
+        assert ctx.exponent(factors) == exponent, factors
+
+
+# the four orders with several primes above 2 of test_wilson.py, and the
+# atlas orders of shapes (e, f) = (2, 2), (3, 2), (8, 1) and (1, 8) at 2
+SHARED_CONTEXT_ORDERS = (
+    "x^4+1", "x^3-2", "x^3-x-2", "x^4+2x^3+x^2-4x-2",
+    "x^5-4x^4+2x^3-3x^2-4x-2", "x^2+x+2", "x^4+6x^3-5x^2-2x-5",
+    "x^6+3x^5+6x^4-3x^3-2x^2-5x+1", "x^8-6x^7-4x^6+2x^5-6x^4+2x^3-6x^2-6x-2",
+    "x^8-4x^7-2x^6+3x^5+2x^4+5x^3-5x^2-2x-1")
+
+
+@pytest.mark.parametrize("poly", SHARED_CONTEXT_ORDERS)
 def test_shared_context_matches_fresh_rings(poly):
     # prefix-built bases from one context against fresh contexts and the
-    # factor-by-factor lattice product
+    # factor-by-factor lattice product of the (m+1)*d-generator powers
     o = make_order(poly)
     shared = OrderContext(o)
-    composites = 0
+    composites = cases = same_prime = 0
     for a in sweep_ideals(o, 4096):
         ring = build_residue_ring(o, a, ctx=shared)
         fresh = build_residue_ring(o, a)
         reference = functools.reduce(
-            lambda x, y: lattice.lattice_product(o, x, y),
-            [lattice.ideal_power_lattice(o, pd.p, pd.gen_poly, m)
-             for pd, m in a.factors])
+            lambda x, y: lattice_product(o, x, y),
+            [power_lattice(o, pd, m) for pd, m in a.factors])
         assert ring.basis == fresh.basis == reference, a.label()
         assert ring.diag == fresh.diag
         assert ring.unit_product().coeffs == fresh.unit_product().coeffs
+        cases += 1
         composites += len(a.factors) > 1
-    assert composites > 50
+        same_prime += len({pd.p for pd, _ in a.factors}) < len(a.factors)
+    assert 2 * composites > cases and same_prime > 20
 
 
 def test_context_of_another_order_is_refused(catalog):
@@ -1039,20 +1077,26 @@ def test_exponent_is_the_least_integer_that_kills_the_ring(poly, max_norm):
         assert all(least % h == 0 for h in ring.diag)
 
 
-@pytest.mark.parametrize("p,wrong_e", [
-    (2, 1),  # ramified: p^3 is not the least power of 2 in P^3
-    (5, 3),  # split: p^1 is not in P^3
+@pytest.mark.parametrize("poly,p,wrong_e,check", [
+    # ramified: 2^3 is not the least power of 2 in P^3
+    pytest.param("x^2+1", 2, 1, "not the exponent", id="2-1"),
+    # split, forged upward: 5*o + pi^3*o is P, of index 5, not 5^3
+    pytest.param("x^2+1", 5, 3, "not in reduced .* index", id="5-3"),
+    # e = 4 forged down to 2: 2^2 is not the least power of 2 in P^3
+    pytest.param("x^4+1", 2, 2, "not the exponent", id="x^4+1-2-2"),
 ])
-def test_wrong_exponent_is_refused(p, wrong_e):
-    # the context checks the exponent it makes, before any walk uses it
-    o = make_order("x^2+1")
+def test_wrong_exponent_is_refused(poly, p, wrong_e, check):
+    # the basis of P^3 is built from p^ceil(3/e): a forged e that makes it
+    # too small gives a lattice of the wrong index, and one that makes it
+    # too large still gives P^3, whose exponent the context checks as it
+    # makes the basis, so no ring is built on either
+    o = make_order(poly)
     pd = dataclasses.replace(factor_prime(o, p)[0], e=wrong_e)
     a = FactoredIdeal(((pd, 3),))
-    with pytest.raises(InvariantViolation, match="not the exponent"):
-        OrderContext(o).exponent(tuple(a.factors))
-    ring = build_residue_ring(o, a)
-    with pytest.raises(InvariantViolation, match="not the exponent"):
-        ring.unit_product()
+    with pytest.raises(InvariantViolation, match=check):
+        OrderContext(o).basis(tuple(a.factors))
+    with pytest.raises(InvariantViolation, match=check):
+        build_residue_ring(o, a)
 
 
 @pytest.mark.parametrize("first,second", [(np.int64, np.int32),
