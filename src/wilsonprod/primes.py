@@ -100,6 +100,9 @@ class PrimeIdealData:
     ``index`` is the position of P in the canonical ordering of the primes
     above p (factors sorted by degree, then coefficient tuple), so that
     (p, index) is a stable name for P.
+
+    The hash of the fields is taken once, when P is made: P keys the
+    OrderContext caches, and a lookup hashes its key every time.
     """
 
     p: int
@@ -107,6 +110,13 @@ class PrimeIdealData:
     e: int
     f: int
     index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.p, self.gen_poly, self.e, self.f, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def residue_size(self) -> int:

@@ -91,6 +91,9 @@ KEEP = 1 << 18
 # no walk takes a box of more positions: its two masks alone would need
 # 2*WALK_MAX bytes (512 MB), which only a raised cap allows
 WALK_MAX = 1 << 28
+# the census sieves each factor P^m by the deepest P^j whose root table has
+# at most 1/TABLE_RATIO of the box's classes: a table squares each of them
+TABLE_RATIO = 64
 
 _THREAD = threading.local()
 
@@ -135,7 +138,7 @@ def _is_exponent(basis: list[list[int]], e: int, p: int) -> bool:
 def _memo(make):
     """An OrderContext method that makes its value, None included, once per
     context and argument tuple, and keeps it in the context; a hit hashes
-    its key once (the frozen dataclasses in keys keep no hash)."""
+    its key once (a PrimeIdealData in it keeps its hash)."""
     @functools.wraps(make)
     def cached(self, *args):
         key = (make.__name__, *args)
@@ -236,8 +239,9 @@ class OrderContext:
         narrowest lane whose bound holds (_lane), the nonzero (t, m, coef)
         terms (_fold_terms) of the fold rows as symmetric residues mod e,
         and whether _np_mul may defer its coefficient reduction past the
-        fold in that lane.  The rings of exponent e and the tables of o/P
-        with p = e run in it.  Only the rows' residues mod e are used, and
+        fold in that lane.  The rings of exponent e, the unit tables of o/P
+        with p = e and the root tables of o/P^j with p^ceil(j/e_P) = e run
+        in it.  Only the rows' residues mod e are used, and
         symmetric ones keep the kernels' bounds independent of the size of
         f's coefficients."""
         d = self.order.degree
@@ -267,56 +271,58 @@ class OrderContext:
         out.flags.writeable = False
         return out
 
-    def unit_table(self, pd: PrimeIdealData,
-                   diag: Sequence[int]) -> np.ndarray:
-        """Which classes of the small box prod [0, min(diag_i, p)) lie
-        outside P, over the axes of the box longer than 1.  Membership in
-        P only depends on the coordinates mod p (p*e_i lies in P), so
-        _np_unit_mask tiles this table out to the full box.
-        """
-        return self._table(pd, tuple(min(h, pd.p) for h in diag), False)
-
-    def root_table(self, pd: PrimeIdealData,
-                   diag: Sequence[int]) -> np.ndarray:
-        """Which classes of the same small box square to 1 mod P; whether
-        x^2 - 1 lies in P also depends only on the coordinates mod p, so
-        _np_unit_mask tiles it the same way.  Every such class is a unit.
-        When every unit squares to 1 mod P (q = 2, or p = 3 with f = 1)
-        this is the unit table itself, the same array, so a walk can tell
-        that it sieves nothing.
-        """
-        return self._table(pd, tuple(min(h, pd.p) for h in diag), True)
-
     @_memo
-    def _table(self, pd: PrimeIdealData, small: tuple,
-               roots: bool) -> np.ndarray:
-        """A unit or root table of the small box, made by enumerating it
-        CHUNK classes at a time: each class, or its square mod p, is tested
-        against 0 or 1 mod P."""
+    def unit_table(self, pd: PrimeIdealData, small: tuple) -> np.ndarray:
+        """Which classes of the small box ``small`` = prod [0, min(diag_i, p))
+        of a ring's pivots diag_i lie outside P, over the axes longer than 1.
+        Membership in P only depends on the coordinates mod p (p*e_i lies
+        in P), so _np_unit_mask tiles this table out to the full box.  Made
+        by enumerating the small box CHUNK classes at a time, in the setting
+        of o/P's exponent p.
+        """
         p, d = pd.p, self.order.degree
         basis = self.basis(((pd, 1),))
-        n = math.prod(small)
-        # o/P has exponent p, which divides the exponent of every ring above
-        # P, so p has a setting whenever such a ring walks; the table runs
-        # in it, its coefficients mod p, which p*o in P allows
-        dtype, terms, defer_mod = self.kernels(p)
-        if roots:
-            target = lattice.reduce_mod(basis, self.order.one.coeffs)
-            args = (terms, p, d, defer_mod)
-        else:
-            target = (0,) * d
-        table = np.zeros(n, dtype=bool)
+        n, dtype = math.prod(small), self.kernels(p).dtype
+        table = np.ones(n, dtype=bool)
         for s in range(0, n, CHUNK):
             box = _np_coords(np.arange(s, min(n, s + CHUNK), dtype=dtype),
                              small)
-            if roots:
-                box = _np_mul(box, box, *args)
-            table[s + _np_reduce(box, basis, p, target)] = True
+            table[s + _np_reduce(box, basis, p, (0,) * d)] = False
         table = table.reshape(tuple(h for h in small if h > 1))
-        if not roots:
-            table = ~table
-        elif np.array_equal(table, units := self._table(pd, small, False)):
-            table = units
+        table.flags.writeable = False
+        return table
+
+    @_memo
+    def root_table(self, pd: PrimeIdealData, j: int,
+                   small: tuple) -> np.ndarray:
+        """Which classes of the small box ``small`` = prod [0, min(diag_i,
+        s)) square to 1 mod P^j, over the axes longer than 1, squared in the
+        setting of s = p^ceil(j/e), the exponent of o/P^j, which divides
+        that of every ring above P^j.  That depends only on the coordinates
+        mod s, so _np_unit_mask tiles the table with period s.  Every such
+        class is a unit; when every unit is one (at j = 1: q = 2, or p = 3
+        with f = 1) this is the unit table of P, the same array, so a walk
+        can tell that it sieves nothing.
+        """
+        factors = ((pd, j),)
+        e, d = self.exponent(factors), self.order.degree
+        basis = self.basis(factors)
+        one = lattice.reduce_mod(basis, self.order.one.coeffs)
+        dtype, terms, defer_mod = self.kernels(e)
+        n = math.prod(small)
+        table = np.zeros(n, dtype=bool)
+        # SPAN classes at a time, as the census squares units, in the slot
+        # of the walk's work, which the walk takes after its tables
+        for s in range(0, n, SPAN):
+            box = _np_coords(np.arange(s, min(n, s + SPAN), dtype=dtype),
+                             small)
+            work = _take("work", (3 * d - 1) * box.shape[1], dtype)
+            sq = _np_mul(box, box, terms, e, d, defer_mod, work=work)
+            table[s + _np_reduce(sq, basis, e, one)] = True
+        table = table.reshape(tuple(h for h in small if h > 1))
+        units = self.unit_table(pd, _small(small, pd.p))
+        if np.array_equal(table, _np_periodic(units, np.empty_like(table))):
+            return units
         table.flags.writeable = False
         return table
 
@@ -402,6 +408,14 @@ class ResidueRing:
         evaluates a witness never pays for it."""
         return self.context.kernels(self.exponent)
 
+    @functools.cached_property
+    def _live_rows(self) -> tuple:
+        """The coordinates a box representative may hold nonzero, those of
+        pivot above 1, for _np_mul; looked up only where a walk streams its
+        units into a product or squares them.  o/o has none, and its one
+        class is 0 in row 0 as in every other."""
+        return tuple(i for i, h in enumerate(self.diag) if h > 1) or (0,)
+
     @property
     def _np_ok(self) -> bool:
         return self._kernels is not None
@@ -448,8 +462,9 @@ class ResidueRing:
             raise RingTooLarge(
                 f"|o/a| = {self.size} is beyond the {WALK_MAX} box positions "
                 f"a walk over the units may take")
-        return self._mask([self.context.unit_table(pd, self.diag)
-                           for pd, _ in self.modulus.factors], "units mask")
+        return self._mask([
+            self.context.unit_table(pd, _small(self.diag, pd.p))
+            for pd, _ in self.modulus.factors], "units mask")
 
     def _check_units(self, found: int) -> None:
         if found != self.unit_count:
@@ -526,7 +541,9 @@ class ResidueRing:
         ones past them, so every unit is multiplied or copied once, and one
         tree multiplies the live columns out at the end.  The census squares
         only the candidates of each block (see _root_mask) and keeps those
-        whose square is 1 mod a.
+        whose square is 1 mod a.  The units of a part, and the candidates,
+        enter _np_mul as its second operand with the ring's _live_rows, so
+        their rows on the axes of pivot 1, all 0, are never multiplied.
         """
         d = len(self.diag)
         # the mask first: _units_array refuses a ring it cannot walk
@@ -539,10 +556,10 @@ class ResidueRing:
             if defer_mod and d ** 3 <= NARROW else None
         width = min(SPAN, self.unit_count)
         acc = _take("product", d * width, dtype).reshape(d, width)
+        sieve = self._root_mask() if census else None
         # one buffer for the census squares, the products into acc and the
         # tree, none of more than width columns
         work = _take("work", (3 * d - 1) * width, dtype)
-        sieve = self._root_mask() if census else None
         roots = []
         found = live = 0
         for s in range(0, len(mask), CHUNK):
@@ -554,7 +571,8 @@ class ResidueRing:
                     self._decode(sieve, s, "candidates")
                 for c in range(0, cands.shape[1], width):
                     part = cands[:, c:c + width]
-                    sq = _np_mul(part, part, *args, work=work)
+                    sq = _np_mul(part, part, *args, work=work,
+                                 live_rows=self._live_rows)
                     roots.append(part[:, _np_reduce(sq, self.basis, e,
                                                     self._one_coeffs)])
             for c in range(0, k, width):
@@ -563,7 +581,8 @@ class ResidueRing:
                 m = min(live, w)
                 if m:
                     low = acc[:, :m]
-                    _np_mul(low, part[:, :m], *args, out=low, work=work)
+                    _np_mul(low, part[:, :m], *args, out=low, work=work,
+                            live_rows=self._live_rows)
                 # the columns no earlier part reached: a later block can
                 # hold more units than the first
                 acc[:, m:w] = part[:, m:]
@@ -577,23 +596,30 @@ class ResidueRing:
 
     def _root_mask(self) -> np.ndarray | None:
         """Flat mask of the census candidates, in box order: the classes
-        whose square is 1 mod every prime divisor P of a.  A square root
-        of 1 mod a is one mod each P, so no root is left out, and every
-        candidate is a unit.  None when no root table sieves out a unit, or
-        when the tables would not be small beside the box (a table squares
-        each of its classes, as the census squares each unit): then the
-        candidates are the units.
+        whose square is 1 mod P^j for each factor P^m of a, with j <= m the
+        deepest whose root table has at most |o/a|/TABLE_RATIO classes (by
+        p, e and the pivots alone), else j = 1.  A square root of 1 mod a is
+        one mod each P^j, so no root is left out, and every candidate is a
+        unit.  None when no root table sieves out a unit, or when the tables
+        would not be small beside the box (a table squares each of its
+        classes, as the census squares each unit): then the candidates are
+        the units.
         """
         ctx = self.context
-        pds = [pd for pd, _ in self.modulus.factors]
-        if 2 * sum(math.prod(min(h, pd.p) for h in self.diag)
-                   for pd in pds) > self.size:
+        picks = []
+        for pd, m in self.modulus.factors:
+            for j in range(m, 0, -1):
+                small = _small(self.diag, pd.p ** -(-j // pd.e))
+                if j == 1 or TABLE_RATIO * math.prod(small) <= self.size:
+                    break
+            picks.append((pd, j, small))
+        if 2 * sum(math.prod(small) for *_, small in picks) > self.size:
             return None
-        tables = [(ctx.root_table(pd, self.diag),
-                   ctx.unit_table(pd, self.diag)) for pd in pds]
-        if all(roots is units for roots, units in tables):
+        tables = [ctx.root_table(*pick) for pick in picks]
+        if all(roots is ctx.unit_table(pd, _small(self.diag, pd.p))
+               for roots, (pd, _, _) in zip(tables, picks)):
             return None
-        return self._mask([roots for roots, _ in tables], "roots mask")
+        return self._mask(tables, "roots mask")
 
     def principal_units(self, j: int) -> list[ResidueElement]:
         """U_j = units congruent to 1 mod P^j, for a prime-power modulus P^n."""
@@ -630,6 +656,11 @@ class ResidueRing:
 
     def __str__(self) -> str:
         return f"{self.order}/({self.modulus.label()})"
+
+
+def _small(diag: Sequence[int], s: int) -> tuple:
+    """The small box prod [0, min(diag_i, s)) of a table of period s."""
+    return tuple(min(h, s) for h in diag)
 
 
 def _lane(d: int, e: int) -> tuple | None:
@@ -679,7 +710,8 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 #     sums stay below d*e^2*s.  Without it only the d-1 rows the fold
 #     multiplies are reduced to [0, e) first: the low rows stay below
 #     d*e^2, the fold adds at most (s-1)*e <= (d-1)*e^2/2 to each, and
-#     every folded sum stays below (3d-1)*e^2/2.
+#     every folded sum stays below (3d-1)*e^2/2.  Given live rows, _np_mul
+#     leaves out only terms of rows that are 0, so no sum grows.
 #   _np_tensor_mul: each outer product a_i*b_j is below e^2, and row k of
 #     the structure tensor has sizes adding up to at most d*s (at most d
 #     pairs i+j meet theta^k, and at most d each fold row, of entry k), so
@@ -693,8 +725,9 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 #   _np_mod, _np_divmod: a quotient times the modulus is within the value
 #     plus the modulus.
 # So every intermediate is within (2d+4)*e^2, under the lane's bound.  The
-# per-prime tables run the same kernels on o/P in the setting of its own
-# exponent p, which divides e, over small boxes no larger than the ring's.
+# unit tables run the same kernels on o/P in the setting of its exponent p,
+# and the root tables on o/P^j in that of its exponent p^ceil(j/e_P), each
+# a divisor of e, over small boxes of coordinates below that exponent.
 # The kernels take elements as (d, count) columns, each coefficient one
 # contiguous row.  Divisions by powers of two, the common case (every
 # lattice above 2 is 2-power-indexed), are done with shifts and masks.
@@ -772,9 +805,10 @@ def _np_unit_mask(diag: Sequence[int], tables: Sequence[np.ndarray],
 
     ``tables`` holds OrderContext.unit_table for each prime divisor P of
     the modulus, the unit test of P on the small box
-    prod [0, min(diag_i, p)); with root tables in their place the mask
-    marks the census candidates.  Each table is tiled out to the full box
-    with period p along each axis; no arithmetic runs over the full box.
+    prod [0, min(diag_i, p)); with root tables in their place, on boxes
+    prod [0, min(diag_i, p^ceil(j/e))), the mask marks the census
+    candidates.  Each table is tiled out to the full box with its period
+    along each axis; no arithmetic runs over the full box.
     The mask is written into ``out`` and the tables after the first are
     tiled in ``tile``, flat bool arrays of the box's size; ``tile`` may be
     None when there is at most one table.
@@ -854,7 +888,8 @@ def _fold_terms(rows: Sequence[Sequence[int]]) -> tuple:
 
 def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
             n: int, d: int, defer_mod: bool, out: np.ndarray | None = None,
-            work: np.ndarray | None = None) -> np.ndarray:
+            work: np.ndarray | None = None,
+            live_rows: Sequence[int] | None = None) -> np.ndarray:
     """Columnwise products mod the defining polynomial, coefficients mod n.
 
     ``a`` and ``b`` are (d, k): row i holds coefficient i of k elements.
@@ -862,12 +897,16 @@ def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
     (_fold_terms).  With ``defer_mod`` (see the kernel section for when it
     is safe) the coefficient reduction happens once, after folding the
     high-degree rows; else those rows are reduced before folding as
-    well.  The arithmetic runs in ``work``, a flat array of the operands'
-    type of at least (3d-1)*k entries (fresh when None), laid out as a
-    contiguous (3d-1, k) array, which keeps numpy on its fast path for
-    contiguous operands.  The products are left in its last d rows, and
-    copied to ``out`` when it is given, which may be ``a`` or ``b``:
-    returns ``out``, or else that view of ``work``.
+    well.  ``live_rows``, when given, lists in increasing order some rows
+    of ``b`` outside which it is 0 (a walk's units are 0 on the axes of
+    pivot 1): only those rows are convolved, and the convolution rows none
+    of them reaches are zeroed, each once.  The arithmetic runs in
+    ``work``, a flat array of the operands' type of at least (3d-1)*k
+    entries (fresh when None), laid out as a contiguous (3d-1, k) array,
+    which keeps numpy on its fast path for contiguous operands.  The
+    products are left in its last d rows, and copied to ``out`` when it is
+    given, which may be ``a`` or ``b``: returns ``out``, or else that view
+    of ``work``.
     """
     k = a.shape[1]
     rows = 3 * d - 1
@@ -877,12 +916,23 @@ def _np_mul(a: np.ndarray, b: np.ndarray, terms: tuple,
         w = work[:rows * k].reshape(rows, k)
     c = w[:2 * d - 1]
     tmp = w[2 * d - 1:3 * d - 2]
-    np.multiply(a, b[0], out=c[:d])
-    for j in range(1, d):
-        # a * b[j] lands on rows j .. j+d-1; the last of them is new
+    live = range(d) if live_rows is None else live_rows
+    first = live[0]
+    if first:
+        c[:first] = 0
+    np.multiply(a, b[first], out=c[first:first + d])
+    top = first + d  # the rows below top are written
+    for j in live[1:]:
+        # a * b[j] lands on rows j .. j+d-1; the last of them is new, and
+        # so are those past top, after a row of b that is not live
+        if top < j + d - 1:
+            c[top:j + d - 1] = 0
         np.multiply(a[:d - 1], b[j], out=tmp)
         c[j:j + d - 1] += tmp
         np.multiply(a[d - 1], b[j], out=c[j + d - 1])
+        top = j + d
+    if top < 2 * d - 1:
+        c[top:] = 0
     prod = w[2 * d - 1:]  # free once the convolution is done
     if not defer_mod:
         # the rows the fold multiplies, in place, the quotients in prod

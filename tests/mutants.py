@@ -76,8 +76,19 @@ MUTANTS = (
            "a fold term of coefficient 1 taken with the wrong sign"),
     Mutant("residue.py", "d * e * e * grow < safe)", "d * e * e < safe)",
            "defer_mod without the factor by which the fold grows sums"),
-    Mutant("residue.py", "for pd in pds) > self.size:", "for pd in pds) < 0:",
+    Mutant("residue.py", "for *_, small in picks) > self.size:",
+           "for *_, small in picks) < 0:",
            "the census sieve taken even when its tables are not small"),
+    Mutant("residue.py", "_small(self.diag, pd.p ** -(-j // pd.e))",
+           "_small(self.diag, pd.p ** (j // pd.e))",
+           "a root table of P^j tiled with period p^floor(j/e), not the "
+           "exponent p^ceil(j/e) of o/P^j"),
+    Mutant("residue.py", "enumerate(self.diag) if h > 1)",
+           "enumerate(self.diag) if h > 2)",
+           "the live rows of _np_mul leave out the axes of pivot 2"),
+    Mutant("residue.py", "        c[top:] = 0\n", "        pass\n",
+           "_np_mul leaves the convolution rows past the last live row "
+           "as the work buffer held them"),
     Mutant("residue.py", "        elif zero:\n", "        elif False:\n",
            "_np_coords leaves stale rows for axes of length 1"),
     Mutant("residue.py", "grow = 1 + max(", "grow = max(",

@@ -6,6 +6,7 @@ classical facts for these fields: Z[i] and Z[sqrt 2] are maximal everywhere,
 Z[sqrt -3] fails exactly at 2.
 """
 
+import dataclasses
 import math
 import random
 
@@ -95,6 +96,20 @@ class TestDedekind:
 
 
 class TestFactorPrime:
+    def test_equal_primes_hash_alike(self):
+        # the hash is taken once, as P is made, from its fields: primes of
+        # two orders of one polynomial, or rebuilt field by field, are
+        # equal and hash alike, and P stays frozen
+        a = factor_prime(make_order("x^2+1"), 5)
+        b = factor_prime(make_order("x^2+1"), 5)
+        assert a == b and [hash(p) for p in a] == [hash(p) for p in b]
+        back = dataclasses.replace(dataclasses.replace(a[0], index=7),
+                                   index=a[0].index)
+        assert back == a[0] and hash(back) == hash(a[0])
+        assert {a[0]: 1}[back] == 1 and a[0] != a[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a[0].p = 7
+
     def test_gaussian_ramified(self, zi):
         (pd,) = factor_prime(zi, 2)
         assert (pd.p, pd.gen_poly, pd.e, pd.f, pd.index) == (2, (1, 1), 2, 1, 0)

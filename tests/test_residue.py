@@ -388,8 +388,8 @@ def test_root_tables_match_scalar_squares(poly, label, _):
     o = make_order(poly)
     ring = build_residue_ring(o, parse_ideal(o, label))
     for pd, _ in ring.modulus.factors:
-        table = ring.context.root_table(pd, ring.diag)
-        small = [min(h, pd.p) for h in ring.diag]
+        small = tuple(min(h, pd.p) for h in ring.diag)
+        table = ring.context.root_table(pd, 1, small)
         prime = ring.context.basis(((pd, 1),))
         want = []
         for x in ring.elements():
@@ -398,8 +398,8 @@ def test_root_tables_match_scalar_squares(poly, label, _):
                 want.append(lattice.contains(
                     prime, [sq[0] - 1] + list(sq[1:])))
         assert table.reshape(-1).tolist() == want, pd.label()
-        assert ring.context.root_table(pd, ring.diag) is table
-        units = ring.context.unit_table(pd, ring.diag)
+        assert ring.context.root_table(pd, 1, small) is table
+        units = ring.context.unit_table(pd, small)
         assert (units | ~table).all()  # every root is a unit
         assert (table is units) == (pd.p ** pd.f == 2 or
                                     (pd.p, pd.f) == (3, 1)), pd.label()
@@ -434,6 +434,102 @@ def test_census_of_a_small_box_squares_every_unit(poly, label):
     units = [x for x in ring.elements() if is_unit(ring, x)]
     assert ring.order2_census().elements == \
         [x for x in units if ring.mul(x, x) == ring.one]
+
+
+DEEP_SIEVE_RINGS = [
+    # (poly, label, {p: j picked}); at 2^12 the P^1 sieve drops nothing
+    ("x^2+1", "2^12", {2: 6}),
+    ("x^2+1", "2^7; 5^2", {2: 4, 5: 1}),
+    ("x^2+1", "5^5", {5: 2}),
+]
+
+
+@pytest.mark.parametrize("poly,label,depths", DEEP_SIEVE_RINGS)
+def test_deep_sieve_keeps_every_root(poly, label, depths):
+    # the census sieved by P^j, j > 1, is the scalar census in box order,
+    # and its candidates hold every root, and only units
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    census = ring.order2_census()
+    tables = {key[1].p: key[2] for key in ring.context._caches
+              if key[0] == "root_table"}
+    assert tables == depths
+    units = [x for x in ring.elements() if is_unit(ring, x)]
+    roots = [x for x in units if ring.mul(x, x) == ring.one]
+    assert census.elements == roots
+    sieve = ring._root_mask()
+    cand = [x for x, keep in zip(ring.elements(), sieve) if keep]
+    assert set(roots) <= set(cand) <= set(units)
+    assert len(cand) < len(units)
+
+
+@pytest.mark.parametrize("poly,label,_", DEEP_SIEVE_RINGS + [
+    ("x^2-2", "7^7@1", None), ("x^4+1", "3^6@1", None),
+    ("x^2+x+1", "2^2; 3^3; 7^4", None), ("x^3-2", "5^8", None),
+])
+def test_deep_root_tables_are_small(poly, label, _):
+    # every table of depth j > 1 has at most |o/a|/TABLE_RATIO classes,
+    # over the box of period p^ceil(j/e), and marks exactly the classes
+    # whose square is 1 mod P^j
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    ring._root_mask()
+    deep = [key[1:] for key in ring.context._caches
+            if key[0] == "root_table" and key[2] > 1]
+    assert deep
+    for pd, j, small in deep:
+        s = pd.p ** -(-j // pd.e)
+        assert small == tuple(min(h, s) for h in ring.diag)
+        assert math.prod(small) * residue.TABLE_RATIO <= ring.size
+        if math.prod(small) > 1024:
+            continue  # the scalar check of the smaller tables suffices
+        table = ring.context.root_table(pd, j, small).reshape(-1)
+        pj = ring.context.basis(((pd, j),))
+        want = []
+        for x in itertools.product(*(range(h) for h in small)):
+            sq = o.mul(o.element(x), o.element(x)).coeffs
+            want.append(lattice.contains(pj, [sq[0] - 1] + list(sq[1:])))
+        assert table.tolist() == want, (pd.label(), j)
+
+
+@pytest.mark.parametrize("lane", [np.int32, np.int64])
+@pytest.mark.parametrize("d,live", [
+    (2, (1,)), (3, (0, 2)), (3, (0, 1)), (3, (1,)), (4, (2, 3)),
+    (4, (0, 2)), (4, (1, 2, 3)),
+])
+def test_np_mul_on_live_rows_matches_every_row(lane, d, live):
+    # a second operand that is 0 outside its live rows: convolving only
+    # those rows, with the others zeroed, gives the full product, also in
+    # a work buffer of garbage and aliased onto the first operand
+    rng = np.random.default_rng(10 * d + len(live))
+    n, k = 97, 53
+    red = rng.integers(-(n // 2), n // 2 + 1, size=(d - 1, d))
+    a = rng.integers(0, n, size=(d, k)).astype(lane)
+    b = np.zeros((d, k), dtype=lane)
+    b[list(live)] = rng.integers(0, n, size=(len(live), k))
+    for defer in (True, False):
+        args = (residue._fold_terms(red), n, d, defer)
+        want = residue._np_mul(a, b, *args)
+        work = rng.integers(-2 ** 30, 2 ** 30, size=(3 * d - 1) * k,
+                            dtype=lane)
+        got = residue._np_mul(a, b, *args, work=work, live_rows=live)
+        assert np.array_equal(got, want), defer
+        got = a.copy()
+        residue._np_mul(got, b, *args, out=got, work=work, live_rows=live)
+        assert np.array_equal(got, want), defer
+        sq = residue._np_mul(b, b, *args, work=work, live_rows=live)
+        assert np.array_equal(sq, residue._np_mul(b, b, *args)), defer
+
+
+def test_live_rows_are_the_axes_of_pivot_above_one():
+    o = make_order("x^2+1")
+    ring = build_residue_ring(o, parse_ideal(o, "2^3; 5^1"))
+    assert (ring.diag, ring._live_rows) == ((2, 20), (0, 1))
+    o = make_order("x^4+1")
+    ring = build_residue_ring(o, parse_ideal(o, "2^2"))
+    assert (ring.diag, ring._live_rows) == ((1, 1, 2, 2), (2, 3))
+    ring = build_residue_ring(o, FactoredIdeal(()))
+    assert ring._live_rows == (0,)  # o/o, whose one class is 0
 
 
 # -- arithmetic sanity -------------------------------------------------------
