@@ -30,7 +30,7 @@ from .errors import (
 )
 from .order import NumberFieldOrder, make_order, parse_poly, poly_str
 from .primes import FactoredIdeal, factor_element, factor_prime, parse_ideal
-from .residue import DEFAULT_CAP, OrderContext
+from .residue import DEFAULT_CAP, OrderContext, build_residue_ring
 from .wilson import (
     ProductClass,
     classify_gauss,
@@ -213,6 +213,11 @@ def cmd_cyclo_demo(args: argparse.Namespace) -> int:
     pd = factors[0]
     expected = {1: ProductClass.ONE, 2: ProductClass.ONE_PLUS_PI,
                 3: ProductClass.ONE_PLUS_PI_SQ}
+    # |o/P^n| = 2^n: an n past the cap is refused before any ring below it
+    # is walked, by the error the first such ring raises as it is built
+    first_over = args.cap.bit_length()
+    if args.n_max >= first_over:
+        build_residue_ring(o, FactoredIdeal(((pd, first_over),)), cap=args.cap)
     rows = []
     ok = True
     ctx = OrderContext(o)

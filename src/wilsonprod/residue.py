@@ -16,32 +16,32 @@ int32 or int64, the fold terms mod e, and whether the reduction waits until
 after the fold; the bounds that choose it are stated once, in the kernel
 section.
 
-The product and the census share one walk over the units.  It builds a
-flat unit mask of the box (one byte per element, tiled from small per-prime
-tables), then takes the box CHUNK positions at a time in one loop: each
-block's units are decoded to coordinates and streamed, SPAN columns at a
-time, into a running product of at most SPAN columns, which one tree
-multiplies out at the end, a narrow level of it as one matrix product with
-the structure tensor of o/eo.  When the census is asked for, a second mask,
-tiled from per-prime tables of the classes with x^2 = 1 mod P, marks the
-candidates (a square root of 1 mod a is one mod every P | a); only the
-candidates of each block are squared and tested for x^2 = 1 mod a.  A ring
-keeps no unit array: `units`, `principal_units` and the dump build the
-whole array only when they are called.  A box of more than WALK_MAX
-positions is never walked.
+The product of all units is one walk over them.  It builds a flat unit
+mask of the box (one byte per element, tiled from small per-prime tables),
+then takes the box CHUNK positions at a time in one loop: each block's
+units are decoded to coordinates and streamed, SPAN columns at a time, into
+a running product of at most SPAN columns, which one tree multiplies out at
+the end, a narrow level of it as one matrix product with the structure
+tensor of o/eo.  The census of square roots of 1 does not walk the box: it
+lifts the roots through the factors of a, one step a_(i+1) = a_i*P^k at a
+time, squaring each root mod a_i plus each class of a_i/a_(i+1) and keeping
+those whose square is 1 mod a_(i+1) (_roots).  A ring keeps no unit array:
+`units`, `principal_units` and the dump build the whole array only when
+they are called.  A box of more than WALK_MAX positions is never walked.
 
-The masks and every block-sized array a walk writes are slots of a scratch
-pool that each thread keeps (_take), so once a walk as large has run, a
-walk faults in no fresh pages.  The slots hold one byte per box position
-for each of the two masks and, at degree d, 8*((2d+1)*CHUNK + (4d-1)*SPAN)
-bytes for the blocks, the decoded indices, the running product and the
-products.  A narrow tree level's arrays are too small to keep.  A walk runs
-to its end before it returns, so no walk finds its slots written over by
-another.
+The mask and every block-sized array a walk writes, and the coordinates
+and the work of the census's blocks of lifts, are slots of a scratch pool
+that each thread keeps (_take), so once a walk as large has run, a walk
+faults in no fresh pages.  The slots hold one byte per box position for
+the mask and, at degree d, at most 8*((2d+1)*CHUNK + (4d-1)*SPAN) bytes
+for the blocks (whose slot tiles the mask's tables first), the decoded
+indices, the running product and the products.  A narrow tree level's
+arrays are too small to keep.  A walk runs to its end before it returns,
+so no walk finds its slots written over by another.
 
 The rings of one order share an OrderContext: lattice bases, uniformizers,
-kernel settings, structure tensors, and unit and root tables are built once
-per context, not once per ring.
+kernel settings, structure tensors and unit tables are built once per
+context, not once per ring.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ DEFAULT_CAP = 1 << 20
 # kernel section
 _LANES = ((np.int32, 1 << 30), (np.int64, 1 << 62))
 
-# the walk over the units takes the box this many positions at a time,
-# which bounds its temporaries near the cap
+# the walk over the units takes the box this many positions at a time, and
+# the census squares at most CHUNK // (d+1) lifts at a time, which bounds
+# their temporaries near the cap
 CHUNK = 1 << 16
 # the walk's running product has at most this many columns, and it
 # multiplies at most this many in one _np_mul call, which bounds its work
@@ -88,12 +89,9 @@ NARROW = 1 << 12
 # that small comes from memory the allocator keeps and faults in next to no
 # pages, and kept, it would only add to what a process of small walks holds
 KEEP = 1 << 18
-# no walk takes a box of more positions: its two masks alone would need
+# no walk takes a box of more positions: its mask and tile alone would need
 # 2*WALK_MAX bytes (512 MB), which only a raised cap allows
 WALK_MAX = 1 << 28
-# the census sieves each factor P^m by the deepest P^j whose root table has
-# at most 1/TABLE_RATIO of the box's classes: a table squares each of them
-TABLE_RATIO = 64
 
 _THREAD = threading.local()
 
@@ -152,7 +150,7 @@ def _memo(make):
 class OrderContext:
     """What the residue rings of one order share, each built once (_memo):
     lattice bases, uniformizers, the kernel setting of each exponent and
-    its structure tensor, and unit and root tables.
+    its structure tensor, and unit tables.
 
     A context lives for one top-level call (one sweep, one CLI request, one
     bare verify_ideal or classify_global) and is never stored on the order,
@@ -239,11 +237,10 @@ class OrderContext:
         narrowest lane whose bound holds (_lane), the nonzero (t, m, coef)
         terms (_fold_terms) of the fold rows as symmetric residues mod e,
         and whether _np_mul may defer its coefficient reduction past the
-        fold in that lane.  The rings of exponent e, the unit tables of o/P
-        with p = e and the root tables of o/P^j with p^ceil(j/e_P) = e run
-        in it.  Only the rows' residues mod e are used, and
-        symmetric ones keep the kernels' bounds independent of the size of
-        f's coefficients."""
+        fold in that lane.  The rings of exponent e and the unit tables of
+        o/P with p = e run in it.  Only the rows' residues mod e are used,
+        and symmetric ones keep the kernels' bounds independent of the size
+        of f's coefficients."""
         d = self.order.degree
         if (lane := _lane(d, e)) is None:
             return None
@@ -292,40 +289,6 @@ class OrderContext:
         table.flags.writeable = False
         return table
 
-    @_memo
-    def root_table(self, pd: PrimeIdealData, j: int,
-                   small: tuple) -> np.ndarray:
-        """Which classes of the small box ``small`` = prod [0, min(diag_i,
-        s)) square to 1 mod P^j, over the axes longer than 1, squared in the
-        setting of s = p^ceil(j/e), the exponent of o/P^j, which divides
-        that of every ring above P^j.  That depends only on the coordinates
-        mod s, so _np_unit_mask tiles the table with period s.  Every such
-        class is a unit; when every unit is one (at j = 1: q = 2, or p = 3
-        with f = 1) this is the unit table of P, the same array, so a walk
-        can tell that it sieves nothing.
-        """
-        factors = ((pd, j),)
-        e, d = self.exponent(factors), self.order.degree
-        basis = self.basis(factors)
-        one = lattice.reduce_mod(basis, self.order.one.coeffs)
-        dtype, terms, defer_mod = self.kernels(e)
-        n = math.prod(small)
-        table = np.zeros(n, dtype=bool)
-        # SPAN classes at a time, as the census squares units, in the slot
-        # of the walk's work, which the walk takes after its tables
-        for s in range(0, n, SPAN):
-            box = _np_coords(np.arange(s, min(n, s + SPAN), dtype=dtype),
-                             small)
-            work = _take("work", (3 * d - 1) * box.shape[1], dtype)
-            sq = _np_mul(box, box, terms, e, d, defer_mod, work=work)
-            table[s + _np_reduce(sq, basis, e, one)] = True
-        table = table.reshape(tuple(h for h in small if h > 1))
-        units = self.unit_table(pd, _small(small, pd.p))
-        if np.array_equal(table, _np_periodic(units, np.empty_like(table))):
-            return units
-        table.flags.writeable = False
-        return table
-
 
 @dataclass(frozen=True)
 class ResidueElement:
@@ -345,11 +308,10 @@ class Census(NamedTuple):
     """Census of square roots of 1 among the units.
 
     ``elements`` lists every unit x with x^2 = 1 (the identity included),
-    in box order; each is found by squaring it mod a, among the candidates
-    the root tables leave (the classes that square to 1 mod every P | a).
-    ``count`` is the number of elements of order exactly 2, which is always
-    2^d2 - 1.  ``product`` is the product of all units, taken on the same
-    walk.
+    in box order; each is found by squaring it mod a, among the lifts of
+    the roots mod a coarser ideal (ResidueRing._roots).  ``count`` is the
+    number of elements of order exactly 2, which is always 2^d2 - 1.
+    ``product`` is the product of all units, from the walk over them.
     """
 
     count: int
@@ -412,8 +374,8 @@ class ResidueRing:
     def _live_rows(self) -> tuple:
         """The coordinates a box representative may hold nonzero, those of
         pivot above 1, for _np_mul; looked up only where a walk streams its
-        units into a product or squares them.  o/o has none, and its one
-        class is 0 in row 0 as in every other."""
+        units into a product and where _roots squares its lifts.  o/o has
+        none, and its one class is 0 in row 0 as in every other."""
         return tuple(i for i, h in enumerate(self.diag) if h > 1) or (0,)
 
     @property
@@ -462,9 +424,14 @@ class ResidueRing:
             raise RingTooLarge(
                 f"|o/a| = {self.size} is beyond the {WALK_MAX} box positions "
                 f"a walk over the units may take")
-        return self._mask([
-            self.context.unit_table(pd, _small(self.diag, pd.p))
-            for pd, _ in self.modulus.factors], "units mask")
+        ctx, diag = self.context, self.diag
+        tables = [ctx.unit_table(pd, tuple(min(h, pd.p) for h in diag))
+                  for pd, _ in self.modulus.factors]
+        # the tile goes to the slot of the unit blocks, which the walk
+        # takes only once the mask is made
+        tile = _take("units", self.size, bool) if len(tables) > 1 else None
+        return _np_unit_mask(diag, tables,
+                             _take("units mask", self.size, bool), tile)
 
     def _check_units(self, found: int) -> None:
         if found != self.unit_count:
@@ -488,16 +455,6 @@ class ResidueRing:
         cols = _take(slot, d * k, dtype).reshape(d, k)
         return _np_coords(idx, self.diag, cols)
 
-    def _mask(self, tables: list, slot: str) -> np.ndarray:
-        """_np_unit_mask of ``tables``, in ``slot`` of the scratch pool.
-        The tiles go to the slot of the unit blocks, which no walk uses
-        before its masks are made."""
-        tile = None
-        if len(tables) > 1:
-            tile = _take("units", self.size, bool)
-        return _np_unit_mask(self.diag, tables,
-                             _take(slot, self.size, bool), tile)
-
     def _unit_rows(self) -> np.ndarray:
         """Every unit as (count, d) rows in box order, in one array."""
         mask = self._units_array()
@@ -514,15 +471,16 @@ class ResidueRing:
 
     def unit_product(self) -> ResidueElement:
         """Product of all units — the brute-force oracle."""
-        return self._walk(census=False)[0]
+        return self._walk()
 
     def order2_census(self) -> Census:
         """Count and list the units squaring to 1; d2 = log2 of the count.
 
-        The product of all units comes with it, from the same walk.
+        The product of all units comes with it, from the walk, which runs
+        first: it refuses a ring it cannot walk before any root is lifted.
         """
-        product, roots = self._walk(census=True)
-        sols = [ResidueElement(self, tuple(row)) for row in roots]
+        product = self._walk()
+        sols = [ResidueElement(self, row) for row in self._roots()]
         n_sols = len(sols)
         if n_sols & (n_sols - 1):
             raise NotAPowerOfTwo(
@@ -530,20 +488,18 @@ class ResidueRing:
         return Census(count=n_sols - 1, elements=sols,
                       d2=n_sols.bit_length() - 1, product=product)
 
-    def _walk(self, census: bool) -> tuple[ResidueElement, list | None]:
-        """One pass over the units: their product, and with ``census`` the
-        units x with x^2 = 1 as coefficient lists in box order.
+    def _walk(self) -> ResidueElement:
+        """One pass over the units: their product.
 
         Each block's units are taken ``width`` = min(SPAN, unit count)
         columns at a time into a running product ``acc`` of that many
         columns, of which the first ``live`` hold a partial product: a part
         is multiplied into the live columns it reaches and copied into the
         ones past them, so every unit is multiplied or copied once, and one
-        tree multiplies the live columns out at the end.  The census squares
-        only the candidates of each block (see _root_mask) and keeps those
-        whose square is 1 mod a.  The units of a part, and the candidates,
-        enter _np_mul as its second operand with the ring's _live_rows, so
-        their rows on the axes of pivot 1, all 0, are never multiplied.
+        tree multiplies the live columns out at the end.  The units of a
+        part enter _np_mul as its second operand with the ring's
+        _live_rows, so their rows on the axes of pivot 1, all 0, are never
+        multiplied.
         """
         d = len(self.diag)
         # the mask first: _units_array refuses a ring it cannot walk
@@ -556,25 +512,14 @@ class ResidueRing:
             if defer_mod and d ** 3 <= NARROW else None
         width = min(SPAN, self.unit_count)
         acc = _take("product", d * width, dtype).reshape(d, width)
-        sieve = self._root_mask() if census else None
-        # one buffer for the census squares, the products into acc and the
-        # tree, none of more than width columns
+        # one buffer for the products into acc and the tree, neither of
+        # more than width columns
         work = _take("work", (3 * d - 1) * width, dtype)
-        roots = []
         found = live = 0
         for s in range(0, len(mask), CHUNK):
             cols = self._decode(mask, s, "units")
             k = cols.shape[1]
             found += k
-            if census:
-                cands = cols if sieve is None else \
-                    self._decode(sieve, s, "candidates")
-                for c in range(0, cands.shape[1], width):
-                    part = cands[:, c:c + width]
-                    sq = _np_mul(part, part, *args, work=work,
-                                 live_rows=self._live_rows)
-                    roots.append(part[:, _np_reduce(sq, self.basis, e,
-                                                    self._one_coeffs)])
             for c in range(0, k, width):
                 part = cols[:, c:c + width]
                 w = part.shape[1]
@@ -589,37 +534,66 @@ class ResidueRing:
                 live = max(live, w)
         self._check_units(found)
         col = _np_tree_product(acc[:, :live], *args, work=work, tensor=tensor)
-        product = self.reduce([int(c) for c in col])
-        if not census:
-            return product, None
-        return product, np.concatenate(roots, axis=1).T.tolist()
+        return self.reduce([int(c) for c in col])
 
-    def _root_mask(self) -> np.ndarray | None:
-        """Flat mask of the census candidates, in box order: the classes
-        whose square is 1 mod P^j for each factor P^m of a, with j <= m the
-        deepest whose root table has at most |o/a|/TABLE_RATIO classes (by
-        p, e and the pivots alone), else j = 1.  A square root of 1 mod a is
-        one mod each P^j, so no root is left out, and every candidate is a
-        unit.  None when no root table sieves out a unit, or when the tables
-        would not be small beside the box (a table squares each of its
-        classes, as the census squares each unit): then the candidates are
-        the units.
+    def _roots(self) -> list[tuple]:
+        """The units x with x^2 = 1, as coefficient tuples in box order.
+
+        They are lifted down the chain o = a_0 > a_1 > ... > a that takes
+        the factors P^m of a in order, each step a_(i+1) = a_i*P^k.  A root
+        mod a_(i+1) is one mod a_i, so it is r + t for a root r mod a_i and
+        t = sum t_j*b_j over the rows b_j of a_i's basis, t_j in
+        [0, h'_j/h_j) for the pivots h_j of a_i and h'_j of a_(i+1): both
+        bases being upper triangular, these t are one of each class of
+        a_i/a_(i+1).  Each lift is reduced mod e, squared in the ring's
+        kernel setting and kept when its square is 1 mod a_(i+1); a lift is
+        0 where a_(i+1) has pivot 1, so it enters _np_mul with the ring's
+        _live_rows.  The first step squares the box of a_1 itself: the root
+        there is 0 and the lift the identity.
+
+        A step takes the largest k whose lifts, n*q^k for n roots so far
+        and q = |o/P|, fit one block, else k = 1, and its lifts a block at a
+        time as positions of the box (n, h'_0/h_0, ...), in the slots of
+        the walk's blocks and work.  A block has at most CHUNK // (d+1)
+        lifts, so that its d+1 rows of coordinates (the root's index and t)
+        take at most CHUNK entries.
         """
-        ctx = self.context
-        picks = []
+        d = len(self.diag)
+        e = self.exponent
+        dtype, terms, defer_mod = self._kernels
+        block = CHUNK // (d + 1)
+        roots = np.zeros((d, 1), dtype=dtype)  # 0, the one class of o/o
+        prev = [[int(i == j) for j in range(d)] for i in range(d)]
+        done = ()
         for pd, m in self.modulus.factors:
-            for j in range(m, 0, -1):
-                small = _small(self.diag, pd.p ** -(-j // pd.e))
-                if j == 1 or TABLE_RATIO * math.prod(small) <= self.size:
-                    break
-            picks.append((pd, j, small))
-        if 2 * sum(math.prod(small) for *_, small in picks) > self.size:
-            return None
-        tables = [ctx.root_table(*pick) for pick in picks]
-        if all(roots is ctx.unit_table(pd, _small(self.diag, pd.p))
-               for roots, (pd, _, _) in zip(tables, picks)):
-            return None
-        return self._mask(tables, "roots mask")
+            q, j = pd.residue_size, 0
+            while j < m:
+                n, k = roots.shape[1], 1
+                while j + k < m and n * q ** (k + 1) <= block:
+                    k += 1
+                first = not done and j == 0
+                j += k
+                basis = self.context.basis(done + ((pd, j),))
+                one = lattice.reduce_mod(basis, self.order.one.coeffs)
+                box = (n, *(basis[i][i] // prev[i][i] for i in range(d)))
+                rows = np.array(prev, dtype=dtype).T  # t -> sum t_j*b_j
+                size, found = math.prod(box), []
+                for s in range(0, size, block):
+                    w = min(block, size - s)
+                    cols = _np_coords(np.arange(s, s + w, dtype=dtype), box,
+                                      _take("units", (d + 1) * w,
+                                            dtype).reshape(d + 1, w))
+                    x = cols[1:] if first else \
+                        _np_mod(roots[:, cols[0]] + rows @ cols[1:], e)
+                    sq = _np_mul(x, x, terms, e, d, defer_mod,
+                                 work=_take("work", (3 * d - 1) * w, dtype),
+                                 live_rows=self._live_rows)
+                    found.append(x[:, _np_reduce(sq, basis, e, one)])
+                roots = np.concatenate(found, axis=1)
+                prev = basis
+            done += ((pd, m),)
+        return sorted(lattice.reduce_mod(self.basis, r)
+                      for r in roots.T.tolist())
 
     def principal_units(self, j: int) -> list[ResidueElement]:
         """U_j = units congruent to 1 mod P^j, for a prime-power modulus P^n."""
@@ -656,11 +630,6 @@ class ResidueRing:
 
     def __str__(self) -> str:
         return f"{self.order}/({self.modulus.label()})"
-
-
-def _small(diag: Sequence[int], s: int) -> tuple:
-    """The small box prod [0, min(diag_i, s)) of a table of period s."""
-    return tuple(min(h, s) for h in diag)
 
 
 def _lane(d: int, e: int) -> tuple | None:
@@ -720,14 +689,18 @@ def build_residue_ring(o: NumberFieldOrder, a: FactoredIdeal,
 #   _np_reduce: with columns in [0, N), every quotient in [0, shift) and
 #     every basis entry below shift, a carried value stays within
 #     N + (d-1)*shift^2; N = e and a shift of at most e (e itself in the
-#     census, the exponent of P^j, a divisor of e, in principal_units) keep
-#     it within d*e^2.
+#     census, against the basis of each a_(i+1) of its chain, all of whose
+#     pivots divide e; the exponent of P^j, a divisor of e, in
+#     principal_units) keep it within d*e^2.
+#   _roots: a lift adds to a root in [0, e) the sum over j of t_j*b_j[k],
+#     each below e^2 (t_j < h'_j/h_j, b_j[k] below its pivot h_k <= e,
+#     h_j*t_j < h'_j), so it stays within e + d*e^2 until it is reduced
+#     mod e.
 #   _np_mod, _np_divmod: a quotient times the modulus is within the value
 #     plus the modulus.
 # So every intermediate is within (2d+4)*e^2, under the lane's bound.  The
 # unit tables run the same kernels on o/P in the setting of its exponent p,
-# and the root tables on o/P^j in that of its exponent p^ceil(j/e_P), each
-# a divisor of e, over small boxes of coordinates below that exponent.
+# a divisor of e, over small boxes of coordinates below p.
 # The kernels take elements as (d, count) columns, each coefficient one
 # contiguous row.  Divisions by powers of two, the common case (every
 # lattice above 2 is 2-power-indexed), are done with shifts and masks.
@@ -805,10 +778,8 @@ def _np_unit_mask(diag: Sequence[int], tables: Sequence[np.ndarray],
 
     ``tables`` holds OrderContext.unit_table for each prime divisor P of
     the modulus, the unit test of P on the small box
-    prod [0, min(diag_i, p)); with root tables in their place, on boxes
-    prod [0, min(diag_i, p^ceil(j/e))), the mask marks the census
-    candidates.  Each table is tiled out to the full box with its period
-    along each axis; no arithmetic runs over the full box.
+    prod [0, min(diag_i, p)).  Each table is tiled out to the full box
+    with its period along each axis; no arithmetic runs over the full box.
     The mask is written into ``out`` and the tables after the first are
     tiled in ``tile``, flat bool arrays of the box's size; ``tile`` may be
     None when there is at most one table.

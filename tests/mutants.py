@@ -76,13 +76,6 @@ MUTANTS = (
            "a fold term of coefficient 1 taken with the wrong sign"),
     Mutant("residue.py", "d * e * e * grow < safe)", "d * e * e < safe)",
            "defer_mod without the factor by which the fold grows sums"),
-    Mutant("residue.py", "for *_, small in picks) > self.size:",
-           "for *_, small in picks) < 0:",
-           "the census sieve taken even when its tables are not small"),
-    Mutant("residue.py", "_small(self.diag, pd.p ** -(-j // pd.e))",
-           "_small(self.diag, pd.p ** (j // pd.e))",
-           "a root table of P^j tiled with period p^floor(j/e), not the "
-           "exponent p^ceil(j/e) of o/P^j"),
     Mutant("residue.py", "enumerate(self.diag) if h > 1)",
            "enumerate(self.diag) if h > 2)",
            "the live rows of _np_mul leave out the axes of pivot 2"),
@@ -107,6 +100,24 @@ MUTANTS = (
     Mutant("residue.py", "        _np_mod(c[d:], n, out=c[d:], work=prod)\n",
            "        pass\n",
            "_np_mul without defer_mod folds rows it has not reduced"),
+    # the census, lifted through the factors of a
+    Mutant("residue.py", "basis[i][i] // prev[i][i]", "basis[i][i]",
+           "_roots lifts by the whole box of a_(i+1), not a_i/a_(i+1)"),
+    Mutant("residue.py", "                prev = basis\n", "",
+           "_roots never advances the previous basis past o"),
+    Mutant("residue.py", "_np_reduce(sq, basis, e, one)",
+           "_np_reduce(sq, basis, e, self._one_coeffs)",
+           "_roots tests the squares against the ring's 1, not a_(i+1)'s"),
+    Mutant("residue.py", "return sorted(lattice.reduce_mod(self.basis, r)\n",
+           "return list(lattice.reduce_mod(self.basis, r)\n",
+           "_roots returns the roots in lift order, not box order"),
+    Mutant("residue.py",
+           "while j + k < m and n * q ** (k + 1) <= block:",
+           "while False:",
+           "equivalent: a step of k = 1 lifts the roots mod a_i through the "
+           "classes of a_i/a_i*P, which holds for every k, so each P^m is "
+           "taken in m steps and the same roots come out of the last one",
+           equivalent=True),
     # the lattices
     Mutant("lattice.py", "q = out[k][pc] // row[pc]", "q = 0",
            "rows_hnf leaves the entries above a pivot unreduced"),

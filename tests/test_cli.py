@@ -275,6 +275,17 @@ def test_cyclo_demo_rejects_large_t(capsys, t):
         "type": "parse_error", "message": "--t must be at most 8"}
 
 
+def test_cyclo_demo_refuses_n_past_the_cap_before_it_walks():
+    # |o/P^21| = 2^21 is past the cap: the error comes before the twenty
+    # rings of degree 128 below it are walked, which take far longer
+    code, out = run_cli_bounded("cyclo-demo", "--t", "8", "--n-max", "21",
+                                timeout=10)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ring_too_large",
+        "message": "|o/a| = 2097152 exceeds the cap 1048576"}
+
+
 def test_undecided_irreducibility_is_json_error(capsys, monkeypatch):
     monkeypatch.setattr(order, "SEARCH_BUDGET", 0)
     code, out = run(capsys, "classify", "--poly", "x^4+4", "--ideal", "2^1")

@@ -210,6 +210,157 @@ def test_one_kernel_setting_per_exponent(monkeypatch):
     assert sorted(made) == [5, 13, 65, 1 << 40]
 
 
+# -- units and products: frozen small cases ----------------------------------
+
+def test_units_mod_8(catalog):
+    ring = ring_mod_int(catalog["rational"], 8)
+    assert sorted(u.coeffs for u in ring.units()) == [(1,), (3,), (5,), (7,)]
+    assert ring.unit_product() == ring.one  # 1*3*5*7 = 105 = 1 mod 8
+
+
+def test_product_mod_7(catalog):
+    ring = ring_mod_int(catalog["rational"], 7)
+    assert ring.unit_product().coeffs == (6,)
+
+
+def test_gaussian_prime_square_units(catalog):
+    ring = prime_power_ring(catalog["gaussian"], 2, 2)
+    assert sorted(u.coeffs for u in ring.units()) == [(0, 1), (1, 0)]
+    assert ring.unit_product().coeffs == (0, 1)  # the class of i
+
+
+def test_gaussian_prime_cube_product(catalog):
+    ring = prime_power_ring(catalog["gaussian"], 2, 3)
+    assert sorted(u.coeffs for u in ring.units()) == \
+        [(0, 1), (0, 3), (1, 0), (1, 2)]
+    assert ring.unit_product().coeffs == (1, 2)  # 1 + 2i
+
+
+def test_sqrt2_prime_cube_product(catalog):
+    ring = prime_power_ring(catalog["sqrt2"], 2, 3)
+    assert ring.basis == [[4, 0], [0, 2]]
+    assert ring.unit_product().coeffs == (3, 0)
+    # ... which happens to be the class of -1 here
+    assert ring.reduce([-1, 0]).coeffs == (3, 0)
+
+
+def test_split_composite_product():
+    # 2 splits in Z[x]/(x^2+x+2); modulus P0^2 * P1 has exactly two units
+    o = make_order("x^2+x+2")
+    ring = build_residue_ring(o, parse_ideal(o, "2^2@0; 2^1@1"))
+    assert ring.basis == [[4, 0], [0, 2]]
+    assert sorted(u.coeffs for u in ring.units()) == [(1, 0), (3, 0)]
+    assert ring.unit_product().coeffs == (3, 0)
+
+
+# -- censuses ----------------------------------------------------------------
+
+def test_census_mod_8(catalog):
+    census = ring_mod_int(catalog["rational"], 8).order2_census()
+    assert census.d2 == 2
+    assert census.count == 3
+    assert sorted(s.coeffs for s in census.elements) == \
+        [(1,), (3,), (5,), (7,)]
+
+
+def test_census_mod_7(catalog):
+    census = ring_mod_int(catalog["rational"], 7).order2_census()
+    assert census.d2 == 1
+    assert sorted(s.coeffs for s in census.elements) == [(1,), (6,)]
+
+
+def test_census_mod_2(catalog):
+    census = ring_mod_int(catalog["rational"], 2).order2_census()
+    assert census.d2 == 0
+    assert census.count == 0
+
+
+def test_census_gaussian_cube(catalog):
+    census = prime_power_ring(catalog["gaussian"], 2, 3).order2_census()
+    assert census.d2 == 1
+    assert sorted(s.coeffs for s in census.elements) == [(1, 0), (1, 2)]
+
+
+CENSUS_RINGS = [
+    ("x^4+1", "2^5"),             # e = 4
+    ("x^2+1", "3^2"),             # f = 2
+    ("x^2+1", "5^1; 7^1"),        # diag (7, 35): a_1 has pivot 1 on axis 0
+    ("x^2-2", "2^5; 7^1@1"),      # diag (8, 28)
+    ("x", "2^3; 3^2; 5^1; 7^1"),  # four steps, one a factor
+    ("x^2+1", "2^12"),
+    ("x^2+1", "2^7; 5^2"),
+    ("x^2+1", "5^5"),
+    ("x^2+1", "2^1; 3^1"),
+    ("x^6+x^3+1", "13^1"),        # one step over all of o/P, f = 3
+    ("x^4+6x^3-5x^2-2x-5", "2^5"),  # (e, f) = (2, 2)
+    ("x^6+3x^5+6x^4-3x^3-2x^2-5x+1", "2^3; 3^1"),
+]
+
+
+@pytest.mark.parametrize("poly,label", CENSUS_RINGS)
+def test_census_matches_scalar_roots(poly, label):
+    # the lifted census is every class whose square is 1 by the scalar ring
+    # arithmetic, in box order, whatever the chain of its steps
+    o = make_order(poly)
+    ring = build_residue_ring(o, parse_ideal(o, label))
+    roots = [x for x in ring.elements() if ring.mul(x, x) == ring.one]
+    census = ring.order2_census()
+    assert census.elements == roots
+    assert len(roots) == 1 << census.d2 == census.count + 1
+
+
+def test_census_walks_the_box_once(monkeypatch):
+    # the walk for the product is the census's only pass over the box
+    walks = []
+    units_array = residue.ResidueRing._units_array
+    monkeypatch.setattr(residue.ResidueRing, "_units_array",
+                        lambda ring: walks.append(ring) or units_array(ring))
+    o = make_order("x^2+1")
+    ring = build_residue_ring(o, parse_ideal(o, "2^7; 5^2"))
+    assert ring.order2_census().d2 == 4
+    assert walks == [ring]
+
+
+@pytest.mark.parametrize("lane", [np.int32, np.int64])
+@pytest.mark.parametrize("d,live", [
+    (2, (1,)), (3, (0, 2)), (3, (0, 1)), (3, (1,)), (4, (2, 3)),
+    (4, (0, 2)), (4, (1, 2, 3)),
+])
+def test_np_mul_on_live_rows_matches_every_row(lane, d, live):
+    # a second operand that is 0 outside its live rows: convolving only
+    # those rows, with the others zeroed, gives the full product, also in
+    # a work buffer of garbage and aliased onto the first operand
+    rng = np.random.default_rng(10 * d + len(live))
+    n, k = 97, 53
+    red = rng.integers(-(n // 2), n // 2 + 1, size=(d - 1, d))
+    a = rng.integers(0, n, size=(d, k)).astype(lane)
+    b = np.zeros((d, k), dtype=lane)
+    b[list(live)] = rng.integers(0, n, size=(len(live), k))
+    for defer in (True, False):
+        args = (residue._fold_terms(red), n, d, defer)
+        want = residue._np_mul(a, b, *args)
+        work = rng.integers(-2 ** 30, 2 ** 30, size=(3 * d - 1) * k,
+                            dtype=lane)
+        got = residue._np_mul(a, b, *args, work=work, live_rows=live)
+        assert np.array_equal(got, want), defer
+        got = a.copy()
+        residue._np_mul(got, b, *args, out=got, work=work, live_rows=live)
+        assert np.array_equal(got, want), defer
+        sq = residue._np_mul(b, b, *args, work=work, live_rows=live)
+        assert np.array_equal(sq, residue._np_mul(b, b, *args)), defer
+
+
+def test_live_rows_are_the_axes_of_pivot_above_one():
+    o = make_order("x^2+1")
+    ring = build_residue_ring(o, parse_ideal(o, "2^3; 5^1"))
+    assert (ring.diag, ring._live_rows) == ((2, 20), (0, 1))
+    o = make_order("x^4+1")
+    ring = build_residue_ring(o, parse_ideal(o, "2^2"))
+    assert (ring.diag, ring._live_rows) == ((1, 1, 2, 2), (2, 3))
+    ring = build_residue_ring(o, FactoredIdeal(()))
+    assert ring._live_rows == (0,)  # o/o, whose one class is 0
+
+
 # -- the shared context and the comaximal product ------------------------------
 
 JOIN_ORDERS = {poly: make_order(poly) for poly in ("x^2+1", "x^3-2", "x^4+1")}
@@ -297,239 +448,6 @@ def test_context_of_another_order_is_refused(catalog):
     o = catalog["sqrt2"]
     with pytest.raises(InvariantViolation):
         build_residue_ring(o, parse_ideal(o, "2^2"), ctx=ctx)
-
-
-# -- units and products: frozen small cases ----------------------------------
-
-def test_units_mod_8(catalog):
-    ring = ring_mod_int(catalog["rational"], 8)
-    assert sorted(u.coeffs for u in ring.units()) == [(1,), (3,), (5,), (7,)]
-    assert ring.unit_product() == ring.one  # 1*3*5*7 = 105 = 1 mod 8
-
-
-def test_product_mod_7(catalog):
-    ring = ring_mod_int(catalog["rational"], 7)
-    assert ring.unit_product().coeffs == (6,)
-
-
-def test_gaussian_prime_square_units(catalog):
-    ring = prime_power_ring(catalog["gaussian"], 2, 2)
-    assert sorted(u.coeffs for u in ring.units()) == [(0, 1), (1, 0)]
-    assert ring.unit_product().coeffs == (0, 1)  # the class of i
-
-
-def test_gaussian_prime_cube_product(catalog):
-    ring = prime_power_ring(catalog["gaussian"], 2, 3)
-    assert sorted(u.coeffs for u in ring.units()) == \
-        [(0, 1), (0, 3), (1, 0), (1, 2)]
-    assert ring.unit_product().coeffs == (1, 2)  # 1 + 2i
-
-
-def test_sqrt2_prime_cube_product(catalog):
-    ring = prime_power_ring(catalog["sqrt2"], 2, 3)
-    assert ring.basis == [[4, 0], [0, 2]]
-    assert ring.unit_product().coeffs == (3, 0)
-    # ... which happens to be the class of -1 here
-    assert ring.reduce([-1, 0]).coeffs == (3, 0)
-
-
-def test_split_composite_product():
-    # 2 splits in Z[x]/(x^2+x+2); modulus P0^2 * P1 has exactly two units
-    o = make_order("x^2+x+2")
-    ring = build_residue_ring(o, parse_ideal(o, "2^2@0; 2^1@1"))
-    assert ring.basis == [[4, 0], [0, 2]]
-    assert sorted(u.coeffs for u in ring.units()) == [(1, 0), (3, 0)]
-    assert ring.unit_product().coeffs == (3, 0)
-
-
-# -- censuses ----------------------------------------------------------------
-
-def test_census_mod_8(catalog):
-    census = ring_mod_int(catalog["rational"], 8).order2_census()
-    assert census.d2 == 2
-    assert census.count == 3
-    assert sorted(s.coeffs for s in census.elements) == \
-        [(1,), (3,), (5,), (7,)]
-
-
-def test_census_mod_7(catalog):
-    census = ring_mod_int(catalog["rational"], 7).order2_census()
-    assert census.d2 == 1
-    assert sorted(s.coeffs for s in census.elements) == [(1,), (6,)]
-
-
-def test_census_mod_2(catalog):
-    census = ring_mod_int(catalog["rational"], 2).order2_census()
-    assert census.d2 == 0
-    assert census.count == 0
-
-
-def test_census_gaussian_cube(catalog):
-    census = prime_power_ring(catalog["gaussian"], 2, 3).order2_census()
-    assert census.d2 == 1
-    assert sorted(s.coeffs for s in census.elements) == [(1, 0), (1, 2)]
-
-
-SIEVE_RINGS = [
-    # (poly, label, whether the census sieves its candidates)
-    ("x^4+1", "2^5", False),       # e = 4: the root table is the unit table
-    ("x^2+1", "3^2", True),        # f = 2: 2 of the 8 unit classes mod P
-    ("x^2+1", "5^1; 7^1", True),   # diag (7, 35): the axis of 7 is longer
-                                   # than 5 and not a multiple of it
-    ("x^2-2", "2^5; 7^1@1", True),  # diag (8, 28): an axis of 8 for 7
-    ("x", "2^3; 3^2; 5^1; 7^1", True),
-]
-
-
-@pytest.mark.parametrize("poly,label,_", SIEVE_RINGS)
-def test_root_tables_match_scalar_squares(poly, label, _):
-    # a class of the small box is marked iff x^2 - 1 lies in P, by the
-    # scalar ring arithmetic; the tables are cached per (P, small box)
-    o = make_order(poly)
-    ring = build_residue_ring(o, parse_ideal(o, label))
-    for pd, _ in ring.modulus.factors:
-        small = tuple(min(h, pd.p) for h in ring.diag)
-        table = ring.context.root_table(pd, 1, small)
-        prime = ring.context.basis(((pd, 1),))
-        want = []
-        for x in ring.elements():
-            if all(c < h for c, h in zip(x.coeffs, small)):
-                sq = ring.mul(x, x).coeffs
-                want.append(lattice.contains(
-                    prime, [sq[0] - 1] + list(sq[1:])))
-        assert table.reshape(-1).tolist() == want, pd.label()
-        assert ring.context.root_table(pd, 1, small) is table
-        units = ring.context.unit_table(pd, small)
-        assert (units | ~table).all()  # every root is a unit
-        assert (table is units) == (pd.p ** pd.f == 2 or
-                                    (pd.p, pd.f) == (3, 1)), pd.label()
-
-
-@pytest.mark.parametrize("poly,label,sieved", SIEVE_RINGS)
-def test_sieved_census_matches_scalar_roots(poly, label, sieved):
-    o = make_order(poly)
-    ring = build_residue_ring(o, parse_ideal(o, label))
-    units = [x for x in ring.elements() if is_unit(ring, x)]
-    roots = [x for x in units if ring.mul(x, x) == ring.one]
-    census = ring.order2_census()
-    assert census.elements == roots  # in box order
-    assert census.d2 == len(roots).bit_length() - 1
-    sieve = ring._root_mask()
-    assert (sieve is not None) == sieved
-    if sieved:  # the candidates hold every root, and only units
-        cand = [x for x, keep in zip(ring.elements(), sieve) if keep]
-        assert set(roots) <= set(cand) <= set(units)
-        assert len(cand) < len(units)
-
-
-@pytest.mark.parametrize("poly,label", [
-    ("x^2+1", "2^1; 3^1"),    # tables of 4 and 9 classes for a box of 18
-    ("x^6+x^3+1", "13^1"),    # a table of 13 classes for a box of 13
-])
-def test_census_of_a_small_box_squares_every_unit(poly, label):
-    # no sieve where the tables would not be small beside the box
-    o = make_order(poly)
-    ring = build_residue_ring(o, parse_ideal(o, label))
-    assert ring._root_mask() is None
-    units = [x for x in ring.elements() if is_unit(ring, x)]
-    assert ring.order2_census().elements == \
-        [x for x in units if ring.mul(x, x) == ring.one]
-
-
-DEEP_SIEVE_RINGS = [
-    # (poly, label, {p: j picked}); at 2^12 the P^1 sieve drops nothing
-    ("x^2+1", "2^12", {2: 6}),
-    ("x^2+1", "2^7; 5^2", {2: 4, 5: 1}),
-    ("x^2+1", "5^5", {5: 2}),
-]
-
-
-@pytest.mark.parametrize("poly,label,depths", DEEP_SIEVE_RINGS)
-def test_deep_sieve_keeps_every_root(poly, label, depths):
-    # the census sieved by P^j, j > 1, is the scalar census in box order,
-    # and its candidates hold every root, and only units
-    o = make_order(poly)
-    ring = build_residue_ring(o, parse_ideal(o, label))
-    census = ring.order2_census()
-    tables = {key[1].p: key[2] for key in ring.context._caches
-              if key[0] == "root_table"}
-    assert tables == depths
-    units = [x for x in ring.elements() if is_unit(ring, x)]
-    roots = [x for x in units if ring.mul(x, x) == ring.one]
-    assert census.elements == roots
-    sieve = ring._root_mask()
-    cand = [x for x, keep in zip(ring.elements(), sieve) if keep]
-    assert set(roots) <= set(cand) <= set(units)
-    assert len(cand) < len(units)
-
-
-@pytest.mark.parametrize("poly,label,_", DEEP_SIEVE_RINGS + [
-    ("x^2-2", "7^7@1", None), ("x^4+1", "3^6@1", None),
-    ("x^2+x+1", "2^2; 3^3; 7^4", None), ("x^3-2", "5^8", None),
-])
-def test_deep_root_tables_are_small(poly, label, _):
-    # every table of depth j > 1 has at most |o/a|/TABLE_RATIO classes,
-    # over the box of period p^ceil(j/e), and marks exactly the classes
-    # whose square is 1 mod P^j
-    o = make_order(poly)
-    ring = build_residue_ring(o, parse_ideal(o, label))
-    ring._root_mask()
-    deep = [key[1:] for key in ring.context._caches
-            if key[0] == "root_table" and key[2] > 1]
-    assert deep
-    for pd, j, small in deep:
-        s = pd.p ** -(-j // pd.e)
-        assert small == tuple(min(h, s) for h in ring.diag)
-        assert math.prod(small) * residue.TABLE_RATIO <= ring.size
-        if math.prod(small) > 1024:
-            continue  # the scalar check of the smaller tables suffices
-        table = ring.context.root_table(pd, j, small).reshape(-1)
-        pj = ring.context.basis(((pd, j),))
-        want = []
-        for x in itertools.product(*(range(h) for h in small)):
-            sq = o.mul(o.element(x), o.element(x)).coeffs
-            want.append(lattice.contains(pj, [sq[0] - 1] + list(sq[1:])))
-        assert table.tolist() == want, (pd.label(), j)
-
-
-@pytest.mark.parametrize("lane", [np.int32, np.int64])
-@pytest.mark.parametrize("d,live", [
-    (2, (1,)), (3, (0, 2)), (3, (0, 1)), (3, (1,)), (4, (2, 3)),
-    (4, (0, 2)), (4, (1, 2, 3)),
-])
-def test_np_mul_on_live_rows_matches_every_row(lane, d, live):
-    # a second operand that is 0 outside its live rows: convolving only
-    # those rows, with the others zeroed, gives the full product, also in
-    # a work buffer of garbage and aliased onto the first operand
-    rng = np.random.default_rng(10 * d + len(live))
-    n, k = 97, 53
-    red = rng.integers(-(n // 2), n // 2 + 1, size=(d - 1, d))
-    a = rng.integers(0, n, size=(d, k)).astype(lane)
-    b = np.zeros((d, k), dtype=lane)
-    b[list(live)] = rng.integers(0, n, size=(len(live), k))
-    for defer in (True, False):
-        args = (residue._fold_terms(red), n, d, defer)
-        want = residue._np_mul(a, b, *args)
-        work = rng.integers(-2 ** 30, 2 ** 30, size=(3 * d - 1) * k,
-                            dtype=lane)
-        got = residue._np_mul(a, b, *args, work=work, live_rows=live)
-        assert np.array_equal(got, want), defer
-        got = a.copy()
-        residue._np_mul(got, b, *args, out=got, work=work, live_rows=live)
-        assert np.array_equal(got, want), defer
-        sq = residue._np_mul(b, b, *args, work=work, live_rows=live)
-        assert np.array_equal(sq, residue._np_mul(b, b, *args)), defer
-
-
-def test_live_rows_are_the_axes_of_pivot_above_one():
-    o = make_order("x^2+1")
-    ring = build_residue_ring(o, parse_ideal(o, "2^3; 5^1"))
-    assert (ring.diag, ring._live_rows) == ((2, 20), (0, 1))
-    o = make_order("x^4+1")
-    ring = build_residue_ring(o, parse_ideal(o, "2^2"))
-    assert (ring.diag, ring._live_rows) == ((1, 1, 2, 2), (2, 3))
-    ring = build_residue_ring(o, FactoredIdeal(()))
-    assert ring._live_rows == (0,)  # o/o, whose one class is 0
 
 
 # -- arithmetic sanity -------------------------------------------------------
